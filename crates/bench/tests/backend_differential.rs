@@ -9,27 +9,15 @@
 //! and exchange statistics. `pvr-bench` always enables `thread-exec`,
 //! so this runs in every workspace-wide `cargo test`.
 
-use std::path::PathBuf;
-
 use pvr_core::pipeline::run_frame_mpi_sim;
-use pvr_core::{write_dataset, FrameConfig};
+use pvr_core::{shared_dataset, FrameConfig};
 use pvr_mpisim::{Backend, RunOptions};
-
-fn dataset(cfg: &FrameConfig) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("pvr-backend-diff-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    let p = d.join("diff.raw");
-    if !p.exists() {
-        write_dataset(&p, cfg).unwrap();
-    }
-    p
-}
 
 #[test]
 fn frames_are_byte_identical_across_backends() {
     for n in [2usize, 3, 5, 8, 12, 16] {
         let cfg = FrameConfig::small(16, 24, n);
-        let path = dataset(&cfg);
+        let path = shared_dataset("diff.raw", &cfg).unwrap();
         let run = |backend: Backend| {
             run_frame_mpi_sim(&cfg, &path, RunOptions::default().with_backend(backend))
                 .unwrap_or_else(|e| panic!("n={n} {backend:?} frame failed: {e}"))

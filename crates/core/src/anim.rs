@@ -511,6 +511,7 @@ fn run_mpi(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::IoMode;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("pvr-anim-{}-{}", std::process::id(), name));
@@ -531,18 +532,25 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Prefetched frames read through `read_frame_bytes`, sequential
+    /// ones through the read stage; on HDF5 both take the independent
+    /// chunk path (edge 14 with 4-element chunks pads the edge chunks).
     #[test]
     fn rayon_pipelined_matches_sequential_bit_for_bit() {
-        let cfg = FrameConfig::small(12, 24, 4);
-        let dir = tmp_dir("rayon-id");
-        let paths = write_animation(&dir, &cfg, 3).unwrap();
-        let seq = run_animation(&cfg, &paths, &AnimOptions::rayon().sequential()).unwrap();
-        let pipe = run_animation(&cfg, &paths, &AnimOptions::rayon()).unwrap();
-        assert_eq!(seq.frames.len(), 3);
-        for (s, p) in seq.frames.iter().zip(&pipe.frames) {
-            assert_eq!(s.result.image.pixels(), p.result.image.pixels());
+        for (io, edge) in [(IoMode::Raw, 12), (IoMode::Hdf5, 14)] {
+            let mut cfg = FrameConfig::small(edge, 24, 4);
+            cfg.io = io;
+            let dir = tmp_dir(&format!("rayon-id-{}", io.name()));
+            let paths = write_animation(&dir, &cfg, 3).unwrap();
+            let seq = run_animation(&cfg, &paths, &AnimOptions::rayon().sequential()).unwrap();
+            let pipe = run_animation(&cfg, &paths, &AnimOptions::rayon()).unwrap();
+            assert_eq!(seq.frames.len(), 3);
+            for (s, p) in seq.frames.iter().zip(&pipe.frames) {
+                assert_eq!(s.result.image.pixels(), p.result.image.pixels());
+                assert_eq!(s.result.io, p.result.io, "{}", io.name());
+            }
+            std::fs::remove_dir_all(&dir).ok();
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

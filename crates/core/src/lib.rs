@@ -41,7 +41,7 @@ pub use ft::{
 pub use perfmodel::{simulate_frame, PerfModel, Placement, SimFrameResult};
 pub use pipeline::{
     run_frame, run_frame_mpi, run_frame_mpi_opts, run_frame_mpi_profiled, run_frame_traced,
-    write_dataset, FrameResult, ProfiledFrame,
+    shared_dataset, write_dataset, FrameResult, ProfiledFrame,
 };
 pub use recovery::{
     adopter_of, block_cost, effective_policy, frame_block_costs, render_loads, HealDecision,

@@ -18,15 +18,15 @@
 //! legacy API surface.
 
 use std::fs::File;
-use std::io::{Read as _, Seek, SeekFrom};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use rayon::prelude::*;
 
 use pvr_compositing::directsend::DirectSendStats;
 use pvr_formats::layout::FileLayout;
-use pvr_formats::rw::write_file;
+use pvr_formats::rw::{read_runs, write_file};
 use pvr_formats::{Subvolume, ELEM_SIZE};
 use pvr_obs::Tracer;
 use pvr_pfs::sieve::per_extent_plan;
@@ -122,7 +122,41 @@ impl FrameResult {
 
 /// Materialize the synthetic supernova dataset at `cfg.grid` resolution
 /// in the on-disk format of `cfg.io`. Returns bytes written.
+///
+/// The file is written under a temporary name in the same directory and
+/// renamed into place, so a concurrent reader of `path` sees either no
+/// file or the complete one, never a partial write.
 pub fn write_dataset(path: &Path, cfg: &FrameConfig) -> std::io::Result<u64> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".{}-{}.partial",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let written = write_dataset_to(&tmp, cfg).and_then(|n| std::fs::rename(&tmp, path).map(|()| n));
+    if written.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    written
+}
+
+/// The dataset `cfg` describes, written once per process as `name`
+/// under the system temp directory and reused by later calls. Safe from
+/// concurrent threads: racing first calls each write a complete file
+/// through [`write_dataset`], and the last rename wins.
+pub fn shared_dataset(name: &str, cfg: &FrameConfig) -> std::io::Result<PathBuf> {
+    let dir = std::env::temp_dir().join(format!("pvr-datasets-{}", std::process::id()));
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(name);
+    if !path.exists() {
+        write_dataset(&path, cfg)?;
+    }
+    Ok(path)
+}
+
+fn write_dataset_to(path: &Path, cfg: &FrameConfig) -> std::io::Result<u64> {
     let layout = cfg.io.layout(cfg.grid);
     let field = SupernovaField::new(cfg.seed);
     let [nx, ny, nz] = cfg.grid;
@@ -359,13 +393,11 @@ pub(crate) fn read_frame_bytes(
         let useful: u64 = requests.iter().map(|r| r.useful_bytes()).sum();
         let mut f = File::open(path)?;
         let mut bytes = Vec::with_capacity(requests.len());
-        for rq in &requests {
+        for (rq, extents) in requests.iter().zip(&per_process) {
             let mut out = vec![0u8; rq.out_elems * ELEM_SIZE as usize];
-            for run in &rq.runs {
-                let nb = run.elems * ELEM_SIZE as usize;
-                f.seek(SeekFrom::Start(run.file_offset))?;
-                f.read_exact(&mut out[run.out_start * 4..run.out_start * 4 + nb])?;
-            }
+            read_runs(&mut f, &rq.runs, extents, |run, b| {
+                out[run.out_start * 4..][..b.len()].copy_from_slice(b)
+            })?;
             bytes.push(out);
         }
         let stats = IoRunStats {
@@ -743,6 +775,53 @@ mod tests {
         let mpi_res = run_frame_mpi(&cfg, &p);
         let d = mpi_res.image.max_abs_diff(&rayon_res.image);
         assert!(d < 1e-6, "diff {d}");
+        std::fs::remove_file(&p).ok();
+    }
+
+    /// HDF5 reads are independent: on the mpisim executor every rank
+    /// reads its own chunk extents (`RankExec::read_runs_audited`).
+    /// Edge 18 with 4-element chunks leaves padded edge chunks.
+    #[test]
+    fn mpi_frame_matches_for_hdf5_independent_path() {
+        let mut cfg = FrameConfig::small(18, 20, 6);
+        cfg.variable = 2;
+        cfg.io = IoMode::Hdf5;
+        let p = tmp("mpi.h5");
+        write_dataset(&p, &cfg).unwrap();
+        let rayon_res = run_frame(&cfg, Some(&p));
+        let mpi_res = run_frame_mpi(&cfg, &p);
+        assert_eq!(mpi_res.image.pixels(), rayon_res.image.pixels());
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn truncated_hdf5_file_is_a_typed_short_read() {
+        let mut cfg = FrameConfig::small(16, 16, 4);
+        cfg.io = IoMode::Hdf5;
+        let p = tmp("trunc.h5");
+        let len = write_dataset(&p, &cfg).unwrap();
+        // Cut the file inside the render variable's last chunk row.
+        let layout = cfg.io.layout(cfg.grid);
+        let whole = Subvolume::whole(cfg.grid);
+        let last = *layout
+            .physical_extents(cfg.file_variable(), &whole)
+            .last()
+            .unwrap();
+        let cut = last.offset + last.len / 2;
+        assert!(cut < len);
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&p)
+            .unwrap()
+            .set_len(cut)
+            .unwrap();
+
+        let err = read_frame_bytes(&cfg, &p, None).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        let mut f = File::open(&p).unwrap();
+        let err = pvr_formats::read_subvolume(&mut f, layout.as_ref(), cfg.file_variable(), &whole)
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
         std::fs::remove_file(&p).ok();
     }
 

@@ -45,7 +45,7 @@ use pvr_faults::{
     FaultPlan, InBox, OutBox, PlanInjector, RankAction, RecoveryCounters, RecoveryPolicy, Stage,
 };
 use pvr_formats::extent::Extent;
-use pvr_formats::ELEM_SIZE;
+use pvr_formats::{read_runs, ELEM_SIZE};
 use pvr_obs::Tracer;
 use pvr_pfs::{
     window_fault_audit, IoRecovery, IoThrottle, ScatterPlan, ServerFaults, StripedStore,
@@ -475,8 +475,9 @@ impl StageExec for RayonExec<'_> {
                             // Throttled reads bypass the per-window span
                             // machinery: the bandwidth floor applies to
                             // the stage as a whole.
-                            let (bytes, io) =
-                                read_frame_bytes(cfg, p, Some(t)).expect("dataset file");
+                            let (bytes, io) = read_frame_bytes(cfg, p, Some(t)).expect(
+                                "dataset file holds every physical extent of the frame's layout",
+                            );
                             (decode_rank_bytes(cfg, &self.geo, &bytes), io)
                         }
                     },
@@ -927,7 +928,7 @@ impl<'a> RankExec<'a> {
                 LinkMode::Reliable(_) => self.scatter_reliable(sp, &shared.requests).await,
             }
         } else {
-            self.read_independent(&shared.requests).await
+            self.read_independent().await
         };
         let rank = self.comm.rank();
         self.volume = Some(decode_volume(
@@ -1117,7 +1118,7 @@ impl<'a> RankExec<'a> {
             // storage-failover audit the aggregators use — bit-identical
             // bytes, a full stage deadline earlier.
             if got < sp.piece_counts[rank] && self.comm.now() >= suspect_at {
-                let (bytes, useful, unrec, fo) = self.read_runs_audited(&requests[rank]);
+                let (bytes, useful, unrec, fo) = self.read_runs_audited(rank);
                 out = bytes;
                 arrived = useful;
                 holes = unrec;
@@ -1149,39 +1150,45 @@ impl<'a> RankExec<'a> {
         }
     }
 
-    /// Read one rank's runs straight from the file; reliable links
-    /// additionally audit storage faults and zero-fill unrecoverable
-    /// ranges. Returns the subvolume byte buffer plus `(useful,
-    /// unrecovered, failover)` byte counts. Shared between independent
-    /// I/O, the scatter self-heal, and orphan-block adoption — all
-    /// three produce bit-identical bytes to a fault-free scatter.
-    fn read_runs_audited(&mut self, req: &pvr_pfs::RankRequest) -> (Vec<u8>, u64, u64, u64) {
+    /// Read `rank`'s runs straight from the file, one access per
+    /// physical extent; reliable links additionally audit storage faults
+    /// per run and zero-fill unrecoverable ranges. Returns the subvolume
+    /// byte buffer plus `(useful, unrecovered, failover)` byte counts.
+    /// Shared between independent I/O, the scatter self-heal, and
+    /// orphan-block adoption — all three produce bit-identical bytes to
+    /// a fault-free scatter.
+    fn read_runs_audited(&mut self, rank: usize) -> (Vec<u8>, u64, u64, u64) {
+        let shared = Arc::clone(&self.shared);
+        let req = &shared.requests[rank];
+        let extents = self
+            .cfg
+            .io
+            .layout(self.cfg.grid)
+            .physical_extents(self.cfg.file_variable(), &shared.stored[rank]);
         let mut out = vec![0u8; req.out_elems * ELEM_SIZE as usize];
         let mut unrecovered = 0u64;
         let mut failover_bytes = 0u64;
         let mut useful = 0u64;
-        let mut file = File::open(self.path).expect("dataset file");
-        for run in &req.runs {
-            let nb = run.elems * ELEM_SIZE as usize;
+        let links = self.links;
+        let counters = &mut self.counters;
+        // Frames run on complete dataset files (`write_dataset` renames a
+        // finished file into place), so every extent of the layout exists.
+        let mut file = File::open(self.path).expect("dataset file exists for the whole frame");
+        read_runs(&mut file, &req.runs, &extents, |run, bytes| {
+            let nb = bytes.len();
             useful += nb as u64;
-            let audit = if let LinkMode::Reliable(rc) = self.links {
-                let a = window_fault_audit(
+            let dst = &mut out[run.out_start * 4..][..nb];
+            dst.copy_from_slice(bytes);
+            if let LinkMode::Reliable(rc) = links {
+                let audit = window_fault_audit(
                     &rc.store,
                     &rc.faults,
                     &rc.rec,
                     Extent::new(run.file_offset, nb as u64),
                 );
-                self.counters.io_retries += a.retries;
-                self.counters.io_failovers += a.failovers;
-                failover_bytes += a.failover_bytes;
-                Some(a)
-            } else {
-                None
-            };
-            file.seek(SeekFrom::Start(run.file_offset)).unwrap();
-            let dst = &mut out[run.out_start * 4..run.out_start * 4 + nb];
-            file.read_exact(dst).unwrap();
-            if let Some(audit) = audit {
+                counters.io_retries += audit.retries;
+                counters.io_failovers += audit.failovers;
+                failover_bytes += audit.failover_bytes;
                 for lost in &audit.unrecoverable {
                     let lo = lost.offset.max(run.file_offset) - run.file_offset;
                     let hi = lost.end().min(run.file_offset + nb as u64) - run.file_offset;
@@ -1191,16 +1198,17 @@ impl<'a> RankExec<'a> {
                     }
                 }
             }
-        }
+        })
+        .expect("dataset file holds every physical extent of the frame's layout");
         (out, useful, unrecovered, failover_bytes)
     }
 
     /// Independent (HDF5-like) path: every rank reads its own runs
     /// directly.
-    async fn read_independent(&mut self, requests: &[pvr_pfs::RankRequest]) -> RankIo {
+    async fn read_independent(&mut self) -> RankIo {
         let rank = self.comm.rank();
         let t_read = Instant::now();
-        let (out, useful, unrecovered, failover_bytes) = self.read_runs_audited(&requests[rank]);
+        let (out, useful, unrecovered, failover_bytes) = self.read_runs_audited(rank);
         if let Some(t) = self.throttle {
             let rem = t.remaining(useful, t_read.elapsed());
             if rem > Duration::ZERO {
@@ -1286,8 +1294,7 @@ impl<'a> RankExec<'a> {
             },
             rung => {
                 let layout = cfg.io.layout(cfg.grid);
-                let (bytes, useful, unrecovered, _) =
-                    self.read_runs_audited(&shared.requests[orphan]);
+                let (bytes, useful, unrecovered, _) = self.read_runs_audited(orphan);
                 self.counters.recovery_bytes += useful;
                 let vol = decode_volume(&bytes, &shared.stored[orphan], layout.endian());
                 let dom = BlockDomain {

@@ -2,15 +2,20 @@
 //!
 //! These materialize actual files on the local filesystem so the
 //! laptop-scale experiments exercise genuine byte-level I/O. Writers
-//! stream the file in physical order (one sequential pass); readers use
-//! the layout's placed runs, so they share the exact extent logic the
-//! collective-I/O engine uses.
+//! stream the file in physical order (one sequential pass). The one
+//! reader, [`read_runs`], fetches a request's physical extents
+//! ([`FileLayout::physical_extents`]: whole coalesced chunk rows for
+//! the chunked layout, the coalesced useful extents for the linear
+//! ones) with one positioned read each, then takes every placed run out
+//! of that buffer. Its accesses and bytes are exactly the ones the
+//! independent-I/O model counts (`pvr_pfs::sieve::per_extent_plan`).
 
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::layout::{FileLayout, LayoutKind};
+use crate::extent::Extent;
+use crate::layout::{FileLayout, LayoutKind, PlacedRun};
 use crate::{Subvolume, ELEM_SIZE};
 
 /// On-disk byte order of 32-bit floats.
@@ -182,29 +187,76 @@ fn write_zeros<W: Write>(w: &mut W, mut n: u64) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Read `sub` of variable `var` from an open file into a row-major f32
-/// buffer, using the layout's placed runs (one `pread`-style access per
-/// contiguous run).
-pub fn read_subvolume(
-    file: &mut File,
+/// Fetch one request's placed `runs` from `file` and hand each run's
+/// on-disk bytes to `take`, in run order.
+///
+/// `extents` are the request's physical extents: sorted, disjoint, and
+/// covering every run. Each is fetched with one seek and one read into
+/// a single scratch buffer, so the reader performs exactly
+/// `extents.len()` accesses of `total_bytes(extents)` bytes, whatever
+/// the number of runs. A file that ends inside an extent is
+/// `ErrorKind::UnexpectedEof`; a run outside every extent is
+/// `ErrorKind::InvalidInput`.
+pub fn read_runs<R: Read + Seek>(
+    file: &mut R,
+    runs: &[PlacedRun],
+    extents: &[Extent],
+    mut take: impl FnMut(&PlacedRun, &[u8]),
+) -> io::Result<()> {
+    // `starts[k]` is where extent `k` begins in the scratch buffer.
+    let mut starts = Vec::with_capacity(extents.len());
+    let mut total = 0usize;
+    for e in extents {
+        starts.push(total);
+        total += e.len as usize;
+    }
+    let mut buf = vec![0u8; total];
+    for (e, &at) in extents.iter().zip(&starts) {
+        file.seek(SeekFrom::Start(e.offset))?;
+        file.read_exact(&mut buf[at..at + e.len as usize])?;
+    }
+    // Runs arrive in output order, which revisits each extent for many
+    // consecutive runs: try the last hit before searching.
+    let covers = |e: &Extent, lo: u64, hi: u64| e.offset <= lo && hi <= e.end();
+    let mut k = 0;
+    for run in runs {
+        let lo = run.file_offset;
+        let hi = lo + run.elems as u64 * ELEM_SIZE;
+        if !extents.get(k).is_some_and(|e| covers(e, lo, hi)) {
+            k = extents.partition_point(|e| e.end() <= lo);
+            if !extents.get(k).is_some_and(|e| covers(e, lo, hi)) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("run at bytes {lo}..{hi} lies outside the physical extents"),
+                ));
+            }
+        }
+        let at = starts[k] + (lo - extents[k].offset) as usize;
+        take(run, &buf[at..at + (hi - lo) as usize]);
+    }
+    Ok(())
+}
+
+/// Read `sub` of variable `var` into a row-major f32 buffer: one
+/// [`read_runs`] access per physical extent of the request, each run
+/// decoded out of the fetched bytes.
+pub fn read_subvolume<R: Read + Seek>(
+    file: &mut R,
     layout: &dyn FileLayout,
     var: usize,
     sub: &Subvolume,
-) -> std::io::Result<Vec<f32>> {
+) -> io::Result<Vec<f32>> {
     let endian = layout.endian();
-    let mut out = vec![0.0f32; sub.num_elements()];
     let mut runs = Vec::new();
     layout.placed_runs(var, sub, &mut |r| runs.push(r));
-    let mut buf: Vec<u8> = Vec::new();
-    for r in runs {
-        let bytes = r.elems * ELEM_SIZE as usize;
-        buf.resize(bytes, 0);
-        file.seek(SeekFrom::Start(r.file_offset))?;
-        file.read_exact(&mut buf)?;
-        for (i, chunk) in buf.chunks_exact(4).enumerate() {
-            out[r.out_start + i] = endian.decode([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    let extents = layout.physical_extents(var, sub);
+    let mut out = vec![0.0f32; sub.num_elements()];
+    read_runs(file, &runs, &extents, |run, bytes| {
+        let dst = &mut out[run.out_start..run.out_start + run.elems];
+        for (d, c) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
+            *d = endian.decode([c[0], c[1], c[2], c[3]]);
         }
-    }
+    })?;
     Ok(out)
 }
 

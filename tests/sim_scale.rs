@@ -15,10 +15,8 @@
 //! `cargo test --test sim_scale -- --ignored` (the acceptance bar is
 //! five wall-clock minutes in a release build).
 
-use std::path::PathBuf;
-
 use parallel_volume_rendering::core::pipeline::run_frame_mpi_sim;
-use parallel_volume_rendering::core::{write_dataset, CompositorPolicy, FrameConfig, FrameResult};
+use parallel_volume_rendering::core::{shared_dataset, CompositorPolicy, FrameConfig, FrameResult};
 use parallel_volume_rendering::mpisim::{RunOptions, SimStats};
 
 /// One frame config per rank count: same grid, image, and transfer
@@ -31,19 +29,9 @@ fn cfg_at(n: usize) -> FrameConfig {
     cfg
 }
 
-fn dataset() -> PathBuf {
-    let d = std::env::temp_dir().join(format!("pvr-sim-scale-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    let p = d.join("scale.raw");
-    if !p.exists() {
-        write_dataset(&p, &cfg_at(64)).unwrap();
-    }
-    p
-}
-
 fn frame_at(n: usize) -> (FrameResult, SimStats) {
     let cfg = cfg_at(n);
-    let path = dataset();
+    let path = shared_dataset("scale.raw", &cfg_at(64)).unwrap();
     // Large worlds legitimately exceed the default 120 s watchdog in
     // debug builds; the harness timeout is the backstop here.
     let opts = RunOptions::default().with_timeout(None);

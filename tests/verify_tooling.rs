@@ -6,30 +6,16 @@
 use std::sync::Arc;
 
 use parallel_volume_rendering::core::pipeline::run_frame_mpi_opts;
-use parallel_volume_rendering::core::{write_dataset, FrameConfig, IoMode};
+use parallel_volume_rendering::core::{shared_dataset, FrameConfig, IoMode};
 use parallel_volume_rendering::mpisim::trace::ReplayLog;
 use parallel_volume_rendering::mpisim::{MatchPolicy, RunError, RunOptions, World};
 use parallel_volume_rendering::verify;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("pvr-verify-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    d.join(name)
-}
 
 fn frame_cfg() -> FrameConfig {
     let mut cfg = FrameConfig::small(16, 24, 8);
     cfg.variable = 2;
     cfg.io = IoMode::NetCdfUntuned;
     cfg
-}
-
-fn frame_dataset(cfg: &FrameConfig) -> std::path::PathBuf {
-    let p = tmp("verify.nc");
-    if !p.exists() {
-        write_dataset(&p, cfg).unwrap();
-    }
-    p
 }
 
 #[test]
@@ -71,7 +57,7 @@ fn stall_without_detection_is_reported_not_hung() {
 #[test]
 fn frame_is_bit_identical_under_perturbed_match_orders() {
     let cfg = frame_cfg();
-    let path = frame_dataset(&cfg);
+    let path = shared_dataset("verify.nc", &cfg).unwrap();
     let (base, _) = run_frame_mpi_opts(&cfg, &path, RunOptions::default()).unwrap();
     for policy in [
         MatchPolicy::Arrival,
@@ -91,7 +77,7 @@ fn frame_is_bit_identical_under_perturbed_match_orders() {
 #[test]
 fn recorded_frame_replays_bit_identically_with_injected_swaps() {
     let cfg = frame_cfg();
-    let path = frame_dataset(&cfg);
+    let path = shared_dataset("verify.nc", &cfg).unwrap();
     let (base, trace) = run_frame_mpi_opts(&cfg, &path, RunOptions::default().traced()).unwrap();
     let trace = trace.expect("traced run yields a trace");
 
