@@ -28,6 +28,10 @@
 //! block renders fanned over the shim pool at 1 vs all cores) reports
 //! `scaling_efficiency`.
 //!
+//! It also times `MacrocellGrid::build` on the same block
+//! (`macrocell_build_ns_per_voxel`, info-only): the pipeline rebuilds
+//! that summary for every block of every frame.
+//!
 //! Writes `results/BENCH_render.json` and a `render_bench.csv` summary.
 //! `--ci` runs a single timed round and exits nonzero if any
 //! correctness gate fails; `--packets` prints the packet-kernel detail
@@ -200,6 +204,15 @@ fn main() {
 
     println!("# render_bench: {BLOCK}^3 supernova block, 256^2 rays, best of {iters} interleaved");
     let grid = MacrocellGrid::build(&volume);
+    let build_secs = (0..iters)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(MacrocellGrid::build(std::hint::black_box(&volume)));
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    let build_ns_per_voxel = build_secs * 1e9 / volume.data().len() as f64;
+    println!("  macrocell build: {build_ns_per_voxel:.2} ns/voxel (best of {iters})");
     let m = bench_kernels(&volume, &grid, &cam, &tf, &kernels, iters);
     let (naive, fast, prev, packet) = (&m[0], &m[1], &m[2], &m[3]);
 
@@ -361,6 +374,7 @@ fn main() {
         .info("naive_samples_per_sec", naive_rate)
         .info("fast_samples_per_sec", fast_rate)
         .info("speedup", speedup)
+        .info("macrocell_build_ns_per_voxel", build_ns_per_voxel)
         .info("bounded_error_bound", bstats.error_bound as f64)
         .info("scaling_threads", scaling_threads as f64)
         .info("scaling_speedup", scaling_speedup)

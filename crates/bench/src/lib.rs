@@ -76,7 +76,15 @@ pub fn write_artifact(name: &str, bytes: &[u8]) -> PathBuf {
 /// one artifact shape `perf_gate` knows how to compare. The file name
 /// is derived from [`Trajectory::bench`], so a bin cannot write its
 /// trajectory under a name the gate will not find.
+///
+/// A trajectory without a `host_threads` metric gets one (info, from
+/// `available_parallelism`), so every artifact names the host it ran on.
 pub fn write_trajectory(t: &pvr_obs::bench::Trajectory) -> PathBuf {
+    let mut t = t.clone();
+    if t.get("host_threads").is_none() {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        t.info("host_threads", threads as f64);
+    }
     write_artifact(&format!("BENCH_{}.json", t.bench), t.to_json().as_bytes())
 }
 
@@ -111,6 +119,15 @@ mod tests {
         let path = write_trajectory(&t);
         assert_eq!(path.file_name().unwrap(), "BENCH_unit_rt.json");
         let back = Trajectory::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        // The written artifact is the trajectory plus its host provenance.
+        let mut expected = t.clone();
+        expected.info("host_threads", back.get("host_threads").unwrap());
+        assert!(back.get("host_threads").unwrap() >= 1.0);
+        assert_eq!(expected, back);
+        // A trajectory that already names its host keeps its own value.
+        t.info("host_threads", 64.0);
+        let kept = write_trajectory(&t);
+        let back = Trajectory::from_json(&std::fs::read_to_string(&kept).unwrap()).unwrap();
         assert_eq!(t, back);
     }
 }

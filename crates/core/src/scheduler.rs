@@ -687,9 +687,14 @@ impl FrameShared {
 #[derive(Debug)]
 pub struct PrefetchedWindows {
     pub bufs: Vec<Vec<u8>>,
-    /// Wall seconds the background read took (including any throttle
-    /// padding) — charged to the frame's `io` stage time.
+    /// Wall seconds the background read took — charged to the frame's
+    /// `io` stage time. The read is unthrottled: the consuming rank pays
+    /// the throttle on its simulated clock (see `spawned_at`).
     pub io_secs: f64,
+    /// The rank's [`pvr_mpisim::Comm::time`] when the read was launched.
+    /// The rank owes the throttle floor for these bytes less the time
+    /// it spent since, which the read overlapped.
+    pub spawned_at: f64,
 }
 
 /// What each rank hands back to the driver.
@@ -870,6 +875,38 @@ impl<'a> RankExec<'a> {
         &self.window_extents
     }
 
+    /// This rank's simulated clock ([`pvr_mpisim::Comm::time`]) — the
+    /// stamp a prefetch launch records in
+    /// [`PrefetchedWindows::spawned_at`].
+    pub(crate) fn clock(&self) -> f64 {
+        self.comm.time()
+    }
+
+    /// Park this rank for what the throttle still owes once its reads
+    /// are done: the floor for `live_bytes` read since `t_read`, and the
+    /// floor for the prefetched windows less the time since their read
+    /// was launched. A prefetched read is hidden by the frame work it
+    /// overlapped, never made free.
+    async fn pay_throttle(&mut self, live_bytes: u64, t_read: Instant) {
+        let Some(t) = self.throttle else {
+            return;
+        };
+        let mut rem = t.remaining(live_bytes, t_read.elapsed());
+        if let Some(pw) = &self.windows {
+            let bytes = self
+                .window_extents
+                .iter()
+                .take(pw.bufs.len())
+                .map(|e| e.len)
+                .sum();
+            let since = Duration::from_secs_f64((self.comm.time() - pw.spawned_at).max(0.0));
+            rem = rem.max(t.remaining(bytes, since));
+        }
+        if rem > Duration::ZERO {
+            self.comm.sleep(rem).await;
+        }
+    }
+
     /// The compositor→rank placement both executors share.
     fn compositor_rank(&self, c: usize) -> usize {
         crate::roles::compositor_rank(c, self.comm.size(), self.m)
@@ -1004,12 +1041,7 @@ impl<'a> RankExec<'a> {
             }
             self.comm.span_end("io.window");
         }
-        if let Some(t) = self.throttle {
-            let rem = t.remaining(live_bytes, t_read.elapsed());
-            if rem > Duration::ZERO {
-                self.comm.sleep(rem).await;
-            }
-        }
+        self.pay_throttle(live_bytes, t_read).await;
 
         let mut out = vec![0u8; requests[rank].out_elems * ELEM_SIZE as usize];
         for _ in 0..sp.piece_counts[rank] {
@@ -1079,12 +1111,7 @@ impl<'a> RankExec<'a> {
                     .await;
             }
         }
-        if let Some(t) = self.throttle {
-            let rem = t.remaining(live_bytes, t_read.elapsed());
-            if rem > Duration::ZERO {
-                self.comm.sleep(rem).await;
-            }
-        }
+        self.pay_throttle(live_bytes, t_read).await;
 
         // Receive my pieces until complete or the stage deadline.
         let mut io_in = InBox::new();
@@ -1209,12 +1236,7 @@ impl<'a> RankExec<'a> {
         let rank = self.comm.rank();
         let t_read = Instant::now();
         let (out, useful, unrecovered, failover_bytes) = self.read_runs_audited(rank);
-        if let Some(t) = self.throttle {
-            let rem = t.remaining(useful, t_read.elapsed());
-            if rem > Duration::ZERO {
-                self.comm.sleep(rem).await;
-            }
-        }
+        self.pay_throttle(useful, t_read).await;
         let quality = if useful == 0 {
             1.0
         } else {

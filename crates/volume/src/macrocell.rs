@@ -2,14 +2,21 @@
 //!
 //! A [`MacrocellGrid`] summarizes a volume at two granularities: one
 //! `(min, max)` pair per 8³-voxel macrocell, and one per 2³-voxel
-//! *refined* cell. Built once per block (O(voxels), like `min_max`), it
-//! is reusable across frames and views: the renderer consults the
-//! macrocell ranges per sample (scalar kernel) to prove that a
-//! trilinear fetch *must* land in a value range the transfer function
-//! maps to exactly zero opacity, and skips the fetch, classification,
-//! and shading for that sample. The refined ranges serve the ray-packet
-//! kernel's shared skip field, whose dilation by the packet's lane
-//! spread would be drowned out by 8-voxel quantization.
+//! *refined* cell. The render stage rebuilds it for every block of
+//! every frame, so [`MacrocellGrid::build`] is one separable pass: per
+//! refined z-slab it folds the slab's voxel planes into a plane
+//! scratch, the plane's y-windows into a row scratch, and the row's
+//! x-windows into refined cells, with contiguous inner loops and two
+//! planes plus two rows of scratch; the macrocells fold from the
+//! refined cells.
+//!
+//! The renderer consults the macrocell ranges per sample (scalar
+//! kernel) to prove that a trilinear fetch *must* land in a value range
+//! the transfer function maps to exactly zero opacity, and skips the
+//! fetch, classification, and shading for that sample. The refined
+//! ranges serve the ray-packet kernel's shared skip field, whose
+//! dilation by the packet's lane spread would be drowned out by 8-voxel
+//! quantization.
 //!
 //! Conservativeness: trilinear interpolation is a convex combination of
 //! the eight corner voxels, so the result lies in `[min, max]` of the
@@ -42,12 +49,26 @@ pub struct MacrocellGrid {
 }
 
 impl MacrocellGrid {
-    /// Build both summaries in one pass over the volume: the refined
-    /// ranges directly, the macrocell ranges by folding the refined
-    /// cells they tile. The fold covers exactly the macrocell's
-    /// inclusive voxel range (the chained one-voxel overlaps line up),
-    /// and min/max is insensitive to the repeated boundary voxels, so
-    /// the macrocell ranges are bitwise identical to a direct pass.
+    /// Build both summaries: the refined ranges in one separable pass
+    /// over the volume, the macrocell ranges by folding the refined
+    /// cells they tile.
+    ///
+    /// The refined pass walks one refined z-slab at a time. It folds
+    /// the slab's voxel planes (three, or fewer at the far edge)
+    /// elementwise into a plane-sized `min` and a plane-sized `max`
+    /// scratch, folds each refined y-window of that plane into a row
+    /// scratch, and folds each x-window of the row into one refined
+    /// cell. Every inner loop is contiguous, and the scratch is two
+    /// planes plus two rows. The plane and row folds start from
+    /// `(+∞, -∞)` and `f32::min`/`max` drop a NaN operand, so the scratch
+    /// never holds a NaN and a cell whose voxels are all NaN keeps
+    /// `(+∞, -∞)`. min/max is associative, so each range equals a
+    /// direct gather over the cell's inclusive voxel window.
+    ///
+    /// The macrocell fold covers exactly the macrocell's inclusive voxel
+    /// range (the chained one-voxel overlaps line up), and min/max is
+    /// insensitive to the repeated boundary voxels, so the macrocell
+    /// ranges equal a direct pass too.
     pub fn build(vol: &Volume) -> Self {
         let dims = vol.dims();
         let cells = [
@@ -60,29 +81,33 @@ impl MacrocellGrid {
             Self::cells_along_size(dims[1], REFINED_SIZE),
             Self::cells_along_size(dims[2], REFINED_SIZE),
         ];
-        let mut refined = vec![
-            (f32::INFINITY, f32::NEG_INFINITY);
-            refined_cells[0] * refined_cells[1] * refined_cells[2]
-        ];
+        let (nx, plane_len) = (dims[0], dims[0] * dims[1]);
+        let data = vol.data();
+        let mut refined =
+            Vec::with_capacity(refined_cells[0] * refined_cells[1] * refined_cells[2]);
+        let mut plane_lo = vec![f32::INFINITY; plane_len];
+        let mut plane_hi = vec![f32::NEG_INFINITY; plane_len];
+        // Past `nx` the row scratch stays at the identity: it pads every
+        // x-window to three entries, so the last cell's clamped window
+        // needs no special case.
+        let mut row_lo = vec![f32::INFINITY; REFINED_SIZE * refined_cells[0] + 1];
+        let mut row_hi = vec![f32::NEG_INFINITY; REFINED_SIZE * refined_cells[0] + 1];
         for cz in 0..refined_cells[2] {
-            let (z0, z1) = Self::voxel_range_size(cz, dims[2], REFINED_SIZE);
+            let zs = window3(Self::voxel_range_size(cz, dims[2], REFINED_SIZE));
+            let planes = zs.map(|z| &data[z * plane_len..(z + 1) * plane_len]);
+            fold3(&mut plane_lo, &mut plane_hi, planes, planes);
             for cy in 0..refined_cells[1] {
-                let (y0, y1) = Self::voxel_range_size(cy, dims[1], REFINED_SIZE);
-                for cx in 0..refined_cells[0] {
-                    let (x0, x1) = Self::voxel_range_size(cx, dims[0], REFINED_SIZE);
-                    let mut lo = f32::INFINITY;
-                    let mut hi = f32::NEG_INFINITY;
-                    for z in z0..=z1 {
-                        for y in y0..=y1 {
-                            let row = vol.index(x0, y, z);
-                            for &v in &vol.data()[row..row + (x1 - x0 + 1)] {
-                                lo = lo.min(v);
-                                hi = hi.max(v);
-                            }
-                        }
-                    }
-                    refined[(cz * refined_cells[1] + cy) * refined_cells[0] + cx] = (lo, hi);
-                }
+                let ys = window3(Self::voxel_range_size(cy, dims[1], REFINED_SIZE));
+                let rows_lo = ys.map(|y| &plane_lo[y * nx..(y + 1) * nx]);
+                let rows_hi = ys.map(|y| &plane_hi[y * nx..(y + 1) * nx]);
+                fold3(&mut row_lo[..nx], &mut row_hi[..nx], rows_lo, rows_hi);
+                let windows = row_lo
+                    .windows(3)
+                    .zip(row_hi.windows(3))
+                    .step_by(REFINED_SIZE);
+                refined.extend(
+                    windows.map(|(l, h)| (l[0].min(l[1]).min(l[2]), h[0].max(h[1]).max(h[2]))),
+                );
             }
         }
         let fold = MACROCELL_SIZE / REFINED_SIZE;
@@ -122,13 +147,6 @@ impl MacrocellGrid {
     fn cells_along_size(n: usize, size: usize) -> usize {
         // Cells must cover voxel indices 0..=n-1.
         (n.max(1) - 1) / size + 1
-    }
-
-    /// Inclusive voxel range summarized by cell `c` along an axis of `n`
-    /// voxels: `[8c, min(8c + 8, n-1)]` (one voxel of overlap).
-    #[cfg(test)]
-    fn voxel_range(c: usize, n: usize) -> (usize, usize) {
-        Self::voxel_range_size(c, n, MACROCELL_SIZE)
     }
 
     /// Inclusive voxel range summarized by a size-`size` cell `c`:
@@ -195,6 +213,34 @@ impl MacrocellGrid {
     /// [`REFINED_SIZE`] granularity.
     pub fn refined_ranges(&self) -> &[(f32, f32)] {
         &self.refined
+    }
+}
+
+// The folds below take a refined window as `REFINED_SIZE + 1` = 3
+// entries per axis.
+const _: () = assert!(REFINED_SIZE == 2);
+
+/// The indices of an inclusive window `[lo, hi]` of one to three
+/// entries, as exactly three: a shorter window repeats its last index,
+/// which min/max ignore.
+fn window3((lo, hi): (usize, usize)) -> [usize; 3] {
+    [lo, (lo + 1).min(hi), hi]
+}
+
+/// Elementwise `lo[i] = min(+∞, a[i], b[i], c[i])` over the three
+/// `src_lo` slices and `hi[i] = max(-∞, …)` over the three `src_hi`
+/// slices: the contiguous, vectorisable step of
+/// [`MacrocellGrid::build`]. Folding from the identity keeps a position
+/// whose sources are all NaN at `(+∞, -∞)`: `f32::min`/`max` drop a NaN
+/// operand.
+fn fold3(lo: &mut [f32], hi: &mut [f32], src_lo: [&[f32]; 3], src_hi: [&[f32]; 3]) {
+    let n = lo.len();
+    let hi = &mut hi[..n];
+    let [a, b, c] = src_lo.map(|s| &s[..n]);
+    let [d, e, f] = src_hi.map(|s| &s[..n]);
+    for i in 0..n {
+        lo[i] = f32::INFINITY.min(a[i]).min(b[i]).min(c[i]);
+        hi[i] = f32::NEG_INFINITY.max(d[i]).max(e[i]).max(f[i]);
     }
 }
 
@@ -297,14 +343,22 @@ mod tests {
         // direct min/max over the macrocell's inclusive voxel range.
         let v = ramp([17, 9, 9]);
         let g = MacrocellGrid::build(&v);
+        assert_eq!(g.ranges(), gather_ranges(&v, MACROCELL_SIZE).as_slice());
+    }
+
+    /// Direct per-cell gather over each size-`size` cell's inclusive
+    /// voxel window, row-major (x fastest): the differential oracle for
+    /// [`MacrocellGrid::build`].
+    fn gather_ranges(v: &Volume, size: usize) -> Vec<(f32, f32)> {
         let dims = v.dims();
-        let cells = g.cells();
-        for cz in 0..cells[2] {
-            let (z0, z1) = MacrocellGrid::voxel_range(cz, dims[2]);
-            for cy in 0..cells[1] {
-                let (y0, y1) = MacrocellGrid::voxel_range(cy, dims[1]);
-                for cx in 0..cells[0] {
-                    let (x0, x1) = MacrocellGrid::voxel_range(cx, dims[0]);
+        let n = dims.map(|d| MacrocellGrid::cells_along_size(d, size));
+        let mut out = Vec::new();
+        for cz in 0..n[2] {
+            let (z0, z1) = MacrocellGrid::voxel_range_size(cz, dims[2], size);
+            for cy in 0..n[1] {
+                let (y0, y1) = MacrocellGrid::voxel_range_size(cy, dims[1], size);
+                for cx in 0..n[0] {
+                    let (x0, x1) = MacrocellGrid::voxel_range_size(cx, dims[0], size);
                     let mut lo = f32::INFINITY;
                     let mut hi = f32::NEG_INFINITY;
                     for z in z0..=z1 {
@@ -315,9 +369,53 @@ mod tests {
                             }
                         }
                     }
-                    let got = g.min_max((cz * cells[1] + cy) * cells[0] + cx);
-                    assert_eq!(got, (lo, hi), "cell ({cx},{cy},{cz})");
+                    out.push((lo, hi));
                 }
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The separable build equals the direct gather on every refined
+        /// cell and every macrocell, over odd, non-multiple-of-2/8 and
+        /// single-voxel axes, signed zeros, and cells that mix NaN with
+        /// numbers or hold only NaN (which must stay `(+∞, -∞)`).
+        #[test]
+        fn build_matches_direct_gather(
+            dims in (1usize..20, 1usize..20, 1usize..20),
+            nan_level in 0usize..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            let dims = [dims.0, dims.1, dims.2];
+            let nan_per_mille = [0, 100, 500, 900, 1000][nan_level];
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let data = (0..dims[0] * dims[1] * dims[2])
+                .map(|_| {
+                    let r = next();
+                    if r % 1000 < nan_per_mille {
+                        f32::NAN
+                    } else {
+                        [-0.0, 0.0, -2.5, 1.0, 7.0, f32::MAX][(r >> 32) as usize % 6]
+                    }
+                })
+                .collect();
+            let v = Volume::from_data(dims, data);
+            let g = MacrocellGrid::build(&v);
+            let refined = gather_ranges(&v, REFINED_SIZE);
+            let macro_ranges = gather_ranges(&v, MACROCELL_SIZE);
+            proptest::prop_assert!(g.refined_ranges() == refined.as_slice(), "refined, dims {:?}", dims);
+            proptest::prop_assert!(g.ranges() == macro_ranges.as_slice(), "macrocells, dims {:?}", dims);
+            if nan_per_mille == 1000 {
+                proptest::prop_assert!(g.ranges().iter().all(|&r| r == (f32::INFINITY, f32::NEG_INFINITY)));
             }
         }
     }
