@@ -1,6 +1,6 @@
 //! Fault-injection sweep over the fault-tolerant pipeline.
 //!
-//! Exercises `pvr_core::run_frame_mpi_ft` against seeded
+//! Exercises fault-tolerant message-passing frames against seeded
 //! [`FaultPlan`]s on a laptop-scale frame (8 ranks, 16³ grid) and
 //! checks the recovery contract end to end:
 //!
@@ -23,7 +23,8 @@ use std::time::Instant;
 
 use pvr_core::pipeline::{run_frame_mpi, tags, write_dataset};
 use pvr_core::{
-    laptop_store, run_frame_mpi_ft_obs, CompositorPolicy, FrameConfig, FtError, FtFrameResult,
+    drive_frame, laptop_store, CompositorPolicy, DriveOutput, Driver, ExecChoice, FrameConfig,
+    FtError, LinkMode,
 };
 use pvr_faults::{
     FaultPlan, LinkAction, LinkFault, Pat, RankAction, RankFault, RecoveryPolicy, ServerAction,
@@ -85,17 +86,15 @@ fn run(
     plan: &FaultPlan,
     policy: &RecoveryPolicy,
     flight: &FlightRecorder,
-) -> Result<FtFrameResult, FtError> {
-    run_frame_mpi_ft_obs(
-        cfg,
-        path,
-        plan,
-        policy,
-        &laptop_store(),
-        pvr_mpisim::RunOptions::default(),
-        flight,
-    )
-    .map(|(ft, _)| ft)
+) -> Result<DriveOutput, FtError> {
+    let driver = Driver {
+        exec: ExecChoice::Mpi {
+            opts: pvr_mpisim::RunOptions::default(),
+        },
+        links: LinkMode::reliable(plan.clone(), *policy, laptop_store()),
+        flight: flight.clone(),
+    };
+    drive_frame(cfg, Some(path), driver)
 }
 
 fn sweep(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) {
@@ -124,7 +123,7 @@ fn sweep(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) {
                             stragglers,
                             down,
                             t0.elapsed().as_secs_f64() * 1e3,
-                            ft.completeness.frame_fraction(),
+                            ft.completeness.as_ref().unwrap().frame_fraction(),
                             rec.retries + rec.io_retries,
                             rec.timeouts
                         );
@@ -209,13 +208,13 @@ fn bench_faults_trajectory(outcomes: &[Outcome]) -> Trajectory {
 }
 
 /// Record one scenario's recovery outcome into the CI metrics registry.
-fn record(reg: &pvr_obs::Registry, case: &str, ft: &FtFrameResult) {
+fn record(reg: &pvr_obs::Registry, case: &str, ft: &DriveOutput) {
     let label = format!("case={case}");
     let rec = ft.frame.timing.recovery;
     reg.gauge_set(
         "completeness_milli",
         &label,
-        (ft.completeness.frame_fraction() * 1000.0).round() as i64,
+        (ft.completeness.as_ref().unwrap().frame_fraction() * 1000.0).round() as i64,
     );
     reg.gauge_set("retries", &label, (rec.retries + rec.io_retries) as i64);
     reg.gauge_set("timeouts", &label, rec.timeouts as i64);
@@ -235,21 +234,16 @@ fn timed(
     plan: &FaultPlan,
     policy: &RecoveryPolicy,
     flight: &FlightRecorder,
-) -> (Result<FtFrameResult, FtError>, f64) {
+) -> (Result<DriveOutput, FtError>, f64) {
     let t0 = Instant::now();
     let out = run(cfg, path, plan, policy, flight);
     (out, t0.elapsed().as_secs_f64() * 1e3)
 }
 
-fn outcome_of(
-    case: &'static str,
-    heal_expected: bool,
-    ft: &FtFrameResult,
-    wall_ms: f64,
-) -> Outcome {
+fn outcome_of(case: &'static str, heal_expected: bool, ft: &DriveOutput, wall_ms: f64) -> Outcome {
     Outcome {
         case,
-        healed: ft.completeness.fully_complete(),
+        healed: ft.completeness.as_ref().unwrap().fully_complete(),
         heal_expected,
         recovery_bytes: ft.frame.timing.recovery.recovery_bytes + ft.frame.io.failover_bytes,
         wall_ms,
@@ -277,12 +271,12 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
             all &= check(
                 "transient-bit-identical",
                 baseline.image.pixels() == ft.frame.image.pixels()
-                    && ft.completeness.frame_fraction() == 1.0
+                    && ft.completeness.as_ref().unwrap().frame_fraction() == 1.0
                     && rec.retries > 0
                     && rec.timeouts == 0,
                 format!(
                     "completeness {:.4}, {} retries, {} timeouts",
-                    ft.completeness.frame_fraction(),
+                    ft.completeness.as_ref().unwrap().frame_fraction(),
                     rec.retries,
                     rec.timeouts
                 ),
@@ -307,12 +301,12 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
             all &= check(
                 "failover-hides-down-server",
                 baseline.image.pixels() == ft.frame.image.pixels()
-                    && ft.completeness.frame_fraction() == 1.0
+                    && ft.completeness.as_ref().unwrap().frame_fraction() == 1.0
                     && ft.frame.io.failover_bytes > 0
                     && ft.frame.io.unrecovered_bytes == 0,
                 format!(
                     "completeness {:.4}, {} failover bytes",
-                    ft.completeness.frame_fraction(),
+                    ft.completeness.as_ref().unwrap().frame_fraction(),
                     ft.frame.io.failover_bytes
                 ),
             );
@@ -330,7 +324,7 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
         (Ok(a), Ok(b)) => {
             record(&reg, "permanent", &a);
             outcomes.push(outcome_of("permanent-loss", false, &a, wall1));
-            let fa = a.completeness.frame_fraction();
+            let fa = a.completeness.as_ref().unwrap().frame_fraction();
             all &= check(
                 "permanent-loss-degrades",
                 fa < 1.0 && a.frame.io.unrecovered_bytes > 0,
@@ -342,10 +336,10 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
             all &= check(
                 "permanent-loss-reproduces",
                 a.frame.image.pixels() == b.frame.image.pixels()
-                    && fa == b.completeness.frame_fraction(),
+                    && fa == b.completeness.as_ref().unwrap().frame_fraction(),
                 format!(
                     "run1 {fa:.6} vs run2 {:.6}",
-                    b.completeness.frame_fraction()
+                    b.completeness.as_ref().unwrap().frame_fraction()
                 ),
             );
         }
@@ -378,13 +372,13 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
             all &= check(
                 "crash-heals-bit-identically",
                 baseline.image.pixels() == ft.frame.image.pixels()
-                    && ft.completeness.fully_complete()
+                    && ft.completeness.as_ref().unwrap().fully_complete()
                     && rec.crashed_ranks == 1
                     && rec.adopted_blocks >= 1
                     && rec.recovery_bytes > 0,
                 format!(
                     "completeness {:.4}, {} adopted blocks, {} recovery bytes",
-                    ft.completeness.frame_fraction(),
+                    ft.completeness.as_ref().unwrap().frame_fraction(),
                     rec.adopted_blocks,
                     rec.recovery_bytes
                 ),
@@ -412,12 +406,12 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
             all &= check(
                 "straggler-hedged",
                 baseline.image.pixels() == ft.frame.image.pixels()
-                    && ft.completeness.fully_complete()
+                    && ft.completeness.as_ref().unwrap().fully_complete()
                     && rec.hedged_renders >= 1
                     && ft.frame.timing.wall < 1.2,
                 format!(
                     "completeness {:.4}, {} hedges, wall {:.3}s",
-                    ft.completeness.frame_fraction(),
+                    ft.completeness.as_ref().unwrap().frame_fraction(),
                     rec.hedged_renders,
                     ft.frame.timing.wall
                 ),
@@ -456,11 +450,11 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
             all &= check(
                 "transient-heals-at-n1024",
                 scale_baseline.image.pixels() == ft.frame.image.pixels()
-                    && ft.completeness.frame_fraction() == 1.0
+                    && ft.completeness.as_ref().unwrap().frame_fraction() == 1.0
                     && rec.retries > 0,
                 format!(
                     "completeness {:.4}, {} retries",
-                    ft.completeness.frame_fraction(),
+                    ft.completeness.as_ref().unwrap().frame_fraction(),
                     rec.retries
                 ),
             );
@@ -484,12 +478,12 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
             all &= check(
                 "crash-heals-at-n1024",
                 scale_baseline.image.pixels() == ft.frame.image.pixels()
-                    && ft.completeness.fully_complete()
+                    && ft.completeness.as_ref().unwrap().fully_complete()
                     && rec.crashed_ranks == 1
                     && rec.adopted_blocks >= 1,
                 format!(
                     "completeness {:.4}, {} adopted blocks",
-                    ft.completeness.frame_fraction(),
+                    ft.completeness.as_ref().unwrap().frame_fraction(),
                     rec.adopted_blocks
                 ),
             );

@@ -32,7 +32,7 @@ fn main() {
     // Fast-path counters: how much sampling work the macrocell/LUT
     // skip culled, and what the sparse subimage exchange actually
     // shipped vs. what the same exchange would have cost dense.
-    let skip_frac = frame.render_skipped as f64 / frame.render_samples.max(1) as f64;
+    let skip_frac = frame.render.skipped_samples as f64 / frame.render.samples.max(1) as f64;
     let comp = &frame.composite;
     let mut csv = CsvOut::create(
         "fig1_render",
@@ -40,8 +40,8 @@ fn main() {
     );
     csv.row(&format!(
         "{},{},{skip_frac:.4},{},{},{},{}",
-        frame.render_samples,
-        frame.render_skipped,
+        frame.render.samples,
+        frame.render.skipped_samples,
         comp.bytes,
         comp.dense_bytes,
         comp.sparse_messages,
@@ -103,7 +103,7 @@ fn main() {
     );
     check(
         "the macrocell fast path skipped provably transparent samples",
-        frame.render_skipped > 0,
+        frame.render.skipped_samples > 0,
         &format!("{:.1}% of samples skipped", 100.0 * skip_frac),
     );
     check(

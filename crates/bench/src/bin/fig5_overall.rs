@@ -17,7 +17,7 @@ fn main() {
     let mut mcfg = FrameConfig::small(64, 192, 8);
     mcfg.variable = 2; // X velocity, the figure's variable
     let measured = run_frame(&mcfg, None);
-    let skip_frac = measured.render_skipped as f64 / measured.render_samples.max(1) as f64;
+    let skip_frac = measured.render.skipped_samples as f64 / measured.render.samples.max(1) as f64;
     let sparse_ratio =
         measured.composite.bytes as f64 / measured.composite.dense_bytes.max(1) as f64;
 

@@ -27,7 +27,10 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use pvr_core::pipeline::{run_frame_mpi, tags, write_dataset};
-use pvr_core::{frame_block_costs, run_frame_mpi_ft, CompositorPolicy, FrameConfig, PerfModel};
+use pvr_core::{
+    drive_frame, frame_block_costs, laptop_store, CompositorPolicy, DriveOutput, Driver,
+    ExecChoice, FrameConfig, FtError, LinkMode, PerfModel,
+};
 use pvr_faults::{
     FaultPlan, LinkAction, LinkFault, Pat, RankAction, RankFault, RecoveryPolicy, ServerAction,
     ServerFault, Stage,
@@ -48,6 +51,23 @@ fn dataset(cfg: &FrameConfig) -> PathBuf {
     let p = d.join("sweep.raw");
     write_dataset(&p, cfg).unwrap();
     p
+}
+
+/// One fault-tolerant message-passing frame under `plan`.
+fn run_ft(
+    cfg: &FrameConfig,
+    path: &Path,
+    plan: &FaultPlan,
+    policy: &RecoveryPolicy,
+) -> Result<DriveOutput, FtError> {
+    let driver = Driver {
+        exec: ExecChoice::Mpi {
+            opts: pvr_mpisim::RunOptions::default(),
+        },
+        links: LinkMode::reliable(plan.clone(), *policy, laptop_store()),
+        flight: pvr_obs::FlightRecorder::disabled(),
+    };
+    drive_frame(cfg, Some(path), driver)
 }
 
 fn check(name: &str, ok: bool, detail: String) -> bool {
@@ -95,11 +115,11 @@ fn crash_matrix(
                 ..FaultPlan::default()
             };
             let t0 = Instant::now();
-            let cell = match run_frame_mpi_ft(cfg, path, &plan, policy) {
+            let cell = match run_ft(cfg, path, &plan, policy) {
                 Ok(ft) => {
                     let rec = ft.frame.timing.recovery;
                     let healed = baseline.pixels() == ft.frame.image.pixels()
-                        && ft.completeness.fully_complete()
+                        && ft.completeness.as_ref().unwrap().fully_complete()
                         && rec.adopted_blocks >= 1;
                     MatrixCell {
                         rank,
@@ -177,10 +197,10 @@ fn transient_grid(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy, base:
                     });
                 }
                 cases += 1;
-                match run_frame_mpi_ft(cfg, path, &plan, policy) {
+                match run_ft(cfg, path, &plan, policy) {
                     Ok(ft)
                         if base.pixels() == ft.frame.image.pixels()
-                            && ft.completeness.fully_complete() => {}
+                            && ft.completeness.as_ref().unwrap().fully_complete() => {}
                     _ => unhealed += 1,
                 }
             }
@@ -207,13 +227,13 @@ fn straggle_bounded(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy, bas
             }],
             ..FaultPlan::default()
         };
-        match run_frame_mpi_ft(cfg, path, &plan, policy) {
+        match run_ft(cfg, path, &plan, policy) {
             Ok(ft) => {
                 let rec = ft.frame.timing.recovery;
                 ok &= check(
                     &format!("straggle-bounded-{}", stage_name(stage)),
                     base.pixels() == ft.frame.image.pixels()
-                        && ft.completeness.fully_complete()
+                        && ft.completeness.as_ref().unwrap().fully_complete()
                         && rec.hedged_renders >= 1
                         && ft.frame.timing.wall < 1.2,
                     format!(
@@ -252,12 +272,12 @@ fn ladder_accounting(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) ->
 
     let mut coarse = *policy;
     coarse.frame_budget = Some(est * 0.5);
-    match run_frame_mpi_ft(cfg, path, &plan, &coarse) {
+    match run_ft(cfg, path, &plan, &coarse) {
         Ok(ft) => {
             let rec = ft.frame.timing.recovery;
             ok &= check(
                 "ladder-coarse-heals-with-error-bound",
-                ft.completeness.fully_complete()
+                ft.completeness.as_ref().unwrap().fully_complete()
                     && rec.approx_blocks >= 1
                     && ft.frame.timing.error_bound > 0.0,
                 format!(
@@ -271,14 +291,17 @@ fn ladder_accounting(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) ->
 
     let mut exhausted = *policy;
     exhausted.frame_budget = Some(est * 0.1);
-    match run_frame_mpi_ft(cfg, path, &plan, &exhausted) {
+    match run_ft(cfg, path, &plan, &exhausted) {
         Ok(ft) => {
             ok &= check(
                 "ladder-exhausted-degrades-explicitly",
-                !ft.completeness.fully_complete()
+                !ft.completeness.as_ref().unwrap().fully_complete()
                     && ft.frame.timing.recovery.approx_blocks == 0
                     && ft.frame.timing.error_bound == 0.0,
-                format!("completeness {:.4}", ft.completeness.frame_fraction()),
+                format!(
+                    "completeness {:.4}",
+                    ft.completeness.as_ref().unwrap().frame_fraction()
+                ),
             );
         }
         Err(e) => ok &= check("ladder-exhausted-degrades-explicitly", false, e.to_string()),

@@ -298,8 +298,8 @@ fn main() {
     cfg_bounded.termination = Termination::Bounded { alpha: 0.35 };
     let frame_bounded = run_frame(&cfg_bounded, None);
     let frame_bounded_dev = frame_bounded.image.max_abs_diff(&frame_exact.image);
-    let frame_bounded_ok = frame_bounded.render_error_bound > 0.0
-        && frame_bounded_dev <= frame_bounded.render_error_bound;
+    let frame_bound = f64::from(frame_bounded.render.error_bound);
+    let frame_bounded_ok = frame_bound > 0.0 && frame_bounded_dev <= frame_bound;
 
     // --- Metrics through the observability registry. ------------------
     let reg = Registry::new();
@@ -309,8 +309,8 @@ fn main() {
     reg.counter_add("render.eval_lanes", "block", packet.stats.packet_eval_lanes);
     reg.counter_add("render.eval_slots", "block", packet.stats.packet_eval_slots);
     reg.counter_add("render.terminated", "block", packet.stats.terminated_rays);
-    reg.counter_add("render.skip", "frame", frame_fast.render_skipped);
-    reg.counter_add("render.packets", "frame", frame_fast.render_packets);
+    reg.counter_add("render.skip", "frame", frame_fast.render.skipped_samples);
+    reg.counter_add("render.packets", "frame", frame_fast.render.packets);
     reg.counter_add("composite.sparse_bytes", "frame", comp.bytes);
     reg.counter_add("composite.dense_bytes", "frame", comp.dense_bytes);
     print!("{}", reg.snapshot().to_text());
@@ -356,9 +356,12 @@ fn main() {
             "frame_bounded_error_within_bound",
             frame_bounded_ok as u8 as f64,
         )
-        .exact("frame_render_samples", frame_fast.render_samples as f64)
-        .exact("frame_render_skipped", frame_fast.render_skipped as f64)
-        .exact("frame_render_packets", frame_fast.render_packets as f64)
+        .exact("frame_render_samples", frame_fast.render.samples as f64)
+        .exact(
+            "frame_render_skipped",
+            frame_fast.render.skipped_samples as f64,
+        )
+        .exact("frame_render_packets", frame_fast.render.packets as f64)
         .exact("frame_composite_bytes", comp.bytes as f64)
         .exact("frame_composite_dense_bytes", comp.dense_bytes as f64)
         .exact("frame_sparse_messages", comp.sparse_messages as f64)
@@ -434,10 +437,7 @@ fn main() {
     check(
         "bounded termination honors its reported error bound (frame)",
         frame_bounded_ok,
-        &format!(
-            "max deviation {frame_bounded_dev:.3e} <= bound {:.3e}",
-            frame_bounded.render_error_bound
-        ),
+        &format!("max deviation {frame_bounded_dev:.3e} <= bound {frame_bound:.3e}"),
     );
     check(
         "sparse exchange ships fewer bytes than dense",

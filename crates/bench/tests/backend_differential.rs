@@ -34,7 +34,7 @@ fn frames_are_byte_identical_across_backends() {
             "n={n}: frame bytes diverge across backends"
         );
         assert_eq!(
-            event.render_samples, thread.render_samples,
+            event.render.samples, thread.render.samples,
             "n={n}: render work diverges across backends"
         );
         assert_eq!(

@@ -1,7 +1,7 @@
 //! Per-tile completeness of a degraded composite.
 //!
 //! When fragments are lost or arrive past the deadline, the deadline
-//! compositors ([`crate::directsend::composite_direct_send_degraded`],
+//! compositors ([`crate::directsend::composite_direct_send_traced`],
 //! [`crate::radixk::composite_radix_k_degraded`]) blend whatever is
 //! there and quantify the damage instead of hanging: each compositor
 //! tile reports the fraction of its *expected* blended footprint area

@@ -39,10 +39,7 @@ pub mod serial;
 pub mod sparse;
 
 pub use completeness::{CompletenessMap, TileCompleteness};
-pub use directsend::{
-    blend_fragments, composite_direct_send, composite_direct_send_degraded,
-    composite_direct_send_traced,
-};
+pub use directsend::{blend_fragments, composite_direct_send, composite_direct_send_traced};
 pub use late::{InsertOutcome, TileAssembly};
 pub use radixk::{composite_radix_k, composite_radix_k_degraded};
 pub use region::ImagePartition;

@@ -312,7 +312,7 @@ pub fn final_spans(n: usize, image_pixels: usize, radices: &[usize]) -> Vec<(usi
 /// any round, so every downstream exchange still lines up and the run
 /// terminates), reporting per-final-span completeness. `present[i]`
 /// refers to renderer `i`'s input subimage, `quality`-weighted as in
-/// [`crate::directsend::composite_direct_send_degraded`]. With all
+/// [`crate::directsend::composite_direct_send_traced`]. With all
 /// inputs present at quality 1.0 the image is bit-identical to
 /// [`composite_radix_k`].
 pub fn composite_radix_k_degraded(

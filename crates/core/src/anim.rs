@@ -50,8 +50,8 @@ use crate::config::FrameConfig;
 use crate::ft::FtError;
 use crate::pipeline::{read_frame_bytes, write_dataset, FrameResult};
 use crate::scheduler::{
-    assemble_frame, execute, execute_with, FrameInput, FramePlan, FrameTags, LinkMode,
-    PrefetchedWindows, RankExec, RankOut, RayonExec, StageId,
+    assemble_frame, execute, execute_with, FrameInput, FrameTags, LinkMode, PrefetchedWindows,
+    RankExec, RankOut, RayonExec, StageId,
 };
 
 /// Which executor runs the animation.
@@ -251,9 +251,10 @@ pub fn write_animation(
 }
 
 /// Render an animation: one frame per path, in order, bit-identical to
-/// running [`crate::pipeline::run_frame`] (or the mpi/ft variants) on
-/// each file independently — the animation tests pin this. Pipelining
-/// changes wall clock, never pixels.
+/// driving each file independently through
+/// [`crate::scheduler::drive_frame`] on the same executor — the
+/// animation tests pin this. Pipelining changes wall clock, never
+/// pixels.
 pub fn run_animation(
     cfg: &FrameConfig,
     paths: &[PathBuf],
@@ -266,14 +267,17 @@ pub fn run_animation(
                 opts.faults.is_none(),
                 "fault plans need the message-passing executor"
             );
-            Ok(run_rayon(cfg, paths, opts))
+            run_rayon(cfg, paths, opts)
         }
         AnimExecutor::Mpi(run_opts) => run_mpi(cfg, paths, opts, run_opts.clone()),
     }
 }
 
-fn run_rayon(cfg: &FrameConfig, paths: &[PathBuf], opts: &AnimOptions) -> AnimResult {
-    let plan = FramePlan::standard();
+fn run_rayon(
+    cfg: &FrameConfig,
+    paths: &[PathBuf],
+    opts: &AnimOptions,
+) -> Result<AnimResult, FtError> {
     let tracer = &opts.tracer;
     let mut frames = Vec::with_capacity(paths.len());
     let t0 = Instant::now();
@@ -296,30 +300,33 @@ fn run_rayon(cfg: &FrameConfig, paths: &[PathBuf], opts: &AnimOptions) -> AnimRe
             .expect("prefetch pool"),
     );
 
-    // RayonExec::finish annotates the SLO verdict; the animation loop
-    // only mirrors it onto the flight recorder, one frame per tick.
-    let record = |result: &FrameResult| {
-        opts.flight.begin_frame();
-        if let Some(slo) = &result.timing.slo {
-            crate::slo::record_frame_flight(&opts.flight, slo, &[], &result.timing.recovery);
-        }
+    // Each frame annotates its SLO verdict and mirrors it onto the
+    // flight recorder, one frame per tick.
+    let run = |input: FrameInput<'_>, throttle: Option<IoThrottle>| {
+        let exec = RayonExec::new(
+            cfg,
+            input,
+            tracer,
+            throttle,
+            &LinkMode::Direct,
+            &opts.flight,
+        );
+        let out = render_pool.install(|| pvr_mpisim::block_on_ready(execute(exec)))?;
+        Ok::<_, FtError>(AnimFrame {
+            result: out.frame,
+            completeness: out.completeness,
+        })
     };
 
     if !opts.pipelined {
         for p in paths {
-            let exec = RayonExec::new(cfg, FrameInput::File(p), tracer, opts.throttle);
-            let result = render_pool.install(|| pvr_mpisim::block_on_ready(execute(&plan, exec)));
-            record(&result);
-            frames.push(AnimFrame {
-                result,
-                completeness: None,
-            });
+            frames.push(run(FrameInput::File(p), opts.throttle)?);
         }
-        return AnimResult {
+        return Ok(AnimResult {
             frames,
             wall: t0.elapsed().as_secs_f64(),
             sim_secs: None,
-        };
+        });
     }
 
     // The prefetch thread gets its own trace track, one past the rank
@@ -349,26 +356,19 @@ fn run_rayon(cfg: &FrameConfig, paths: &[PathBuf], opts: &AnimOptions) -> AnimRe
             .take()
             .expect("one prefetch is always in flight")
             .join()
-            .expect("animation frame read failed");
+            .map_err(FtError::Io)?;
         // Launch t+1's read before touching frame t: the whole frame
         // (decode, render, composite) overlaps the next read.
         if t + 1 < paths.len() {
             pending = Some(spawn(t + 1));
         }
-        let input = FrameInput::Prefetched { bytes, io, io_secs };
-        let exec = RayonExec::new(cfg, input, tracer, None);
-        let result = render_pool.install(|| pvr_mpisim::block_on_ready(execute(&plan, exec)));
-        record(&result);
-        frames.push(AnimFrame {
-            result,
-            completeness: None,
-        });
+        frames.push(run(FrameInput::Prefetched { bytes, io, io_secs }, None)?);
     }
-    AnimResult {
+    Ok(AnimResult {
         frames,
         wall: t0.elapsed().as_secs_f64(),
         sim_secs: None,
-    }
+    })
 }
 
 /// Routes each tag epoch's traffic to that frame's own plan injector,
@@ -429,7 +429,6 @@ fn run_mpi(
 
     let cfg = *cfg;
     let paths = paths.to_vec();
-    let plan = FramePlan::standard();
     let pipelined = opts.pipelined;
     let throttle = opts.throttle;
     let t0 = Instant::now();
@@ -440,7 +439,6 @@ fn run_mpi(
     let cfg_ref = &cfg;
     let paths_ref = &paths;
     let links_ref = &links;
-    let plan_ref = &plan;
     let shared_ref = &shared;
     let out = pvr_mpisim::World::run_opts(cfg.nprocs, run_opts, move |mut comm| async move {
         let mut outs = Vec::with_capacity(nf);
@@ -460,7 +458,7 @@ fn run_mpi(
                 windows,
                 Arc::clone(shared_ref),
             );
-            let rank_out = execute_with(plan_ref, exec, |e, s| {
+            let rank_out = execute_with(exec, |e, s| {
                 if pipelined && s == StageId::Read && t + 1 < nf {
                     let extents = e.my_window_extents().to_vec();
                     if !extents.is_empty() {
@@ -664,7 +662,7 @@ mod tests {
         let split = run_animation(&cfg, &paths, &AnimOptions::rayon().pools(1, 2)).unwrap();
         for (s, p) in shared.frames.iter().zip(&split.frames) {
             assert_eq!(s.result.image.pixels(), p.result.image.pixels());
-            assert_eq!(s.result.render_samples, p.result.render_samples);
+            assert_eq!(s.result.render.samples, p.result.render.samples);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

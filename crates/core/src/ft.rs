@@ -1,14 +1,17 @@
-//! Fault-tolerant end-to-end execution.
+//! Fault-tolerant end-to-end execution: the storage model, error and
+//! degraded-frame types of frames driven under
+//! [`LinkMode::Reliable`](crate::scheduler::LinkMode).
 //!
-//! [`run_frame_mpi_ft`] is the same stage-graph frame as
-//! [`crate::pipeline::run_frame_mpi`] — one driver,
-//! [`crate::scheduler::drive_frame`] — configured for a hostile
-//! machine: every receive has a deadline, every data message travels
-//! through the `pvr-faults` link layer (checksummed frames, positive
-//! acks, bounded exponential-backoff retransmission, duplicate
-//! suppression), storage reads retry and fail over to stripe replicas,
-//! and the compositing stage produces a per-tile [`CompletenessMap`]
-//! instead of silently hanging on missing input.
+//! A fault-tolerant frame is the same stage-graph frame as any other —
+//! one driver, [`crate::scheduler::drive_frame`] — configured for a
+//! hostile machine. On the message-passing executor every receive has a
+//! deadline, every data message travels through the `pvr-faults` link
+//! layer (checksummed frames, positive acks, bounded exponential-backoff
+//! retransmission, duplicate suppression), storage reads retry and fail
+//! over to stripe replicas. On the rayon executor the plan's rank faults
+//! apply. Both run the same recovery orchestrator and produce a
+//! per-tile [`CompletenessMap`] instead of silently hanging on missing
+//! input.
 //!
 //! The contract, verified by the integration tests and the
 //! `fault_sweep` benchmark:
@@ -30,30 +33,12 @@
 //!   `(seed, FaultPlan)`; a run with the same plan and policy produces
 //!   the same image and the same completeness map.
 
-use std::path::Path;
-use std::time::{Duration, Instant};
-
-use rayon::prelude::*;
-
 use pvr_compositing::completeness::CompletenessMap;
-use pvr_compositing::{composite_direct_send_degraded, ImagePartition};
-use pvr_faults::{FaultPlan, RankAction, RecoveryCounters, RecoveryPolicy, Stage};
-use pvr_obs::FlightRecorder;
+use pvr_faults::RecoveryCounters;
 use pvr_pfs::StripedStore;
-use pvr_render::image::{Image, SubImage};
-use pvr_render::raycast::{render_block, BlockDomain};
-use pvr_render::Camera;
+use pvr_render::image::Image;
 
-use crate::config::FrameConfig;
-use crate::perfmodel::PerfModel;
-use crate::pipeline::{
-    decode_volume, default_view, geometry, read_frame_bytes, render_opts, transfer_for, FrameResult,
-};
-use crate::recovery::{
-    adopter_of, block_cost, effective_policy, render_loads, HealDecision, RecoveryBudget,
-};
-use crate::scheduler::{drive_frame, Driver, ExecChoice, FramePlan, LinkMode};
-use crate::timing::{FrameTiming, Stopwatch};
+use crate::timing::FrameTiming;
 
 /// A striped-store description matched to laptop-scale test files: 8
 /// servers with 64 KiB stripes, so even a few-megabyte dataset spreads
@@ -69,14 +54,6 @@ pub fn laptop_store() -> StripedStore {
     }
 }
 
-/// A frame that completed (possibly with degraded content).
-#[derive(Debug)]
-pub struct FtFrameResult {
-    pub frame: FrameResult,
-    /// Per-tile fraction of expected composited area that arrived.
-    pub completeness: CompletenessMap,
-}
-
 /// A frame that completed but lost content permanently.
 #[derive(Debug)]
 pub struct DegradedFrame {
@@ -86,15 +63,19 @@ pub struct DegradedFrame {
     pub timing: FrameTiming,
 }
 
-/// Why a fault-tolerant frame did not produce a pristine image.
+/// Why a frame did not produce a pristine image.
 #[derive(Debug)]
 pub enum FtError {
     /// The world itself failed (deadlock report or watchdog stall) —
     /// under the ft protocol this indicates a bug, and the recovery
     /// proptests assert it never happens.
     Runtime(pvr_mpisim::RunError),
-    /// The frame completed with completeness < 1.0 (strict mode only).
+    /// The frame completed with completeness < 1.0 (strict mode only,
+    /// see [`DriveOutput::strict`](crate::scheduler::DriveOutput::strict)).
     Degraded(Box<DegradedFrame>),
+    /// The rayon executor could not read the dataset: a missing file,
+    /// or one shorter than the frame's layout.
+    Io(std::io::Error),
 }
 
 impl std::fmt::Display for FtError {
@@ -111,328 +92,65 @@ impl std::fmt::Display for FtError {
                     .filter(|t| t.fraction() < 1.0)
                     .count()
             ),
+            FtError::Io(e) => write!(f, "dataset read failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for FtError {}
 
-/// Run one fault-tolerant frame with default store and runtime options.
-pub fn run_frame_mpi_ft(
-    cfg: &FrameConfig,
-    path: &Path,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-) -> Result<FtFrameResult, FtError> {
-    run_frame_mpi_ft_opts(
-        cfg,
-        path,
-        plan,
-        policy,
-        &laptop_store(),
-        pvr_mpisim::RunOptions::default(),
-    )
-    .map(|(r, _)| r)
-}
-
-/// Strict variant: a frame whose completeness is less than 1.0 becomes
-/// a typed [`FtError::Degraded`] carrying the partial image and the
-/// recovery record, instead of a success.
-pub fn run_frame_mpi_ft_strict(
-    cfg: &FrameConfig,
-    path: &Path,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-) -> Result<FtFrameResult, FtError> {
-    let res = run_frame_mpi_ft(cfg, path, plan, policy)?;
-    if res.completeness.fully_complete() {
-        Ok(res)
-    } else {
-        Err(FtError::Degraded(Box::new(DegradedFrame {
-            completeness: res.completeness,
-            counters: res.frame.timing.recovery,
-            timing: res.frame.timing,
-            image: res.frame.image,
-        })))
-    }
-}
-
-/// Full-control variant: explicit store model and [`RunOptions`]
-/// (tracing, match policy, watchdog). The plan's link faults are
-/// installed as the transport injector automatically.
-///
-/// [`RunOptions`]: pvr_mpisim::RunOptions
-pub fn run_frame_mpi_ft_opts(
-    cfg: &FrameConfig,
-    path: &Path,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    store: &StripedStore,
-    opts: pvr_mpisim::RunOptions,
-) -> Result<(FtFrameResult, Option<pvr_mpisim::trace::TraceLog>), FtError> {
-    run_frame_mpi_ft_obs(
-        cfg,
-        path,
-        plan,
-        policy,
-        store,
-        opts,
-        &FlightRecorder::disabled(),
-    )
-}
-
-/// [`run_frame_mpi_ft_opts`] with an attached flight recorder: the
-/// frame's SLO verdict, located incidents, and — on a violation,
-/// crash, or degradation-ladder activation — the anomaly dump land on
-/// `flight` for the caller to drain.
-pub fn run_frame_mpi_ft_obs(
-    cfg: &FrameConfig,
-    path: &Path,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    store: &StripedStore,
-    opts: pvr_mpisim::RunOptions,
-    flight: &FlightRecorder,
-) -> Result<(FtFrameResult, Option<pvr_mpisim::trace::TraceLog>), FtError> {
-    // Receive deadlines, the suspicion threshold, and the frame budget
-    // are derived from the calibrated perf model (config overrides
-    // win); the caller's policy acts as a floor.
-    let policy = effective_policy(cfg, policy);
-    let out = drive_frame(
-        cfg,
-        Some(path),
-        Driver {
-            plan: FramePlan::standard(),
-            exec: ExecChoice::Mpi {
-                opts,
-                links: LinkMode::reliable(plan.clone(), policy, *store),
-            },
-            flight: flight.clone(),
-        },
-    )?;
-    Ok((
-        FtFrameResult {
-            frame: out.frame,
-            completeness: out
-                .completeness
-                .expect("reliable frames carry completeness"),
-        },
-        out.trace,
-    ))
-}
-
-/// Fault-tolerant frame on the data-parallel executor: the shared
-/// address space has no links to drop, so the plan's rank faults are
-/// what matters — a crashed rank loses its rendered block before
-/// compositing. The same recovery orchestrator heals it: the
-/// deterministic seeded load-aware assignment ([`adopter_of`]) picks a
-/// surviving adopter, the degradation ladder ([`RecoveryBudget`])
-/// charges the re-render's modeled cost and picks the rung (full heal →
-/// bit-identical pixels; coarse heal → approximate pixels with the
-/// error bound recorded in [`FrameTiming::error_bound`]; skip → the
-/// hole shows up in the completeness map). Stragglers past the derived
-/// suspicion window fire a hedged duplicate whose loss to first-wins
-/// dedup is a no-op — counted, never blended. Everything replays from
-/// `(seed, plan, config)`.
-pub fn run_frame_rayon_ft(
-    cfg: &FrameConfig,
-    path: &Path,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-) -> Result<FtFrameResult, FtError> {
-    run_frame_rayon_ft_obs(cfg, path, plan, policy, &FlightRecorder::disabled())
-}
-
-/// [`run_frame_rayon_ft`] with an attached flight recorder. Every
-/// flight arg on this path is deterministic for a fixed `(seed, plan,
-/// config)` — planned ranks, stages, and counter values, never wall
-/// seconds — so a manual-clock recorder yields byte-identical anomaly
-/// dumps, which is what the golden-file test pins.
-pub fn run_frame_rayon_ft_obs(
-    cfg: &FrameConfig,
-    path: &Path,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    flight: &FlightRecorder,
-) -> Result<FtFrameResult, FtError> {
-    let policy = effective_policy(cfg, policy);
-    flight.begin_frame();
-    flight.instant(
-        0,
-        "frame.begin",
-        pvr_obs::Args::two("ranks", cfg.nprocs as u64, "seed", plan.seed),
-    );
-    let t0 = Instant::now();
-    let mut sw = Stopwatch::start();
-    let mut timing = FrameTiming::default();
-    let mut counters = RecoveryCounters::default();
-    let n = cfg.nprocs;
-    let geo = geometry(cfg);
-    let layout = cfg.io.layout(cfg.grid);
-    let endian = layout.endian();
-    let (bytes, io) = read_frame_bytes(cfg, path, None).expect("dataset file");
-    timing.io = sw.lap();
-
-    // A crash at any stage loses the rank's block before compositing.
-    const STAGES: [Stage; 3] = [Stage::Io, Stage::Render, Stage::Composite];
-    let lost: Vec<usize> = (0..n)
-        .filter(|&r| {
-            STAGES
-                .iter()
-                .any(|&s| matches!(plan.rank_fault(r, s), Some(RankAction::Crash)))
-        })
-        .collect();
-    counters.crashed_ranks = lost.len() as u64;
-    // Located SLO incidents: planned crashes and suspicious straggles
-    // up front, ladder activations as the rungs are chosen below.
-    let mut incidents = crate::slo::incidents_from_plan(n, plan, policy.suspicion);
-
-    // Orphan adoption: assign each lost block to a survivor and let the
-    // ladder pick the rung. Greedy-balanced: each adoption bumps the
-    // adopter's load before the next assignment.
-    let model = PerfModel::default();
-    let mut loads = render_loads(cfg, &model, &geo.owned);
-    let mut budget = RecoveryBudget::for_frame(cfg, &policy);
-    let survivors: Vec<usize> = (0..n).filter(|r| !lost.contains(r)).collect();
-    let mut decision: Vec<Option<HealDecision>> = vec![None; n];
-    let mut error_bound = 0.0f64;
-    let image_px = cfg.image.0 as f64 * cfg.image.1 as f64;
-    let camera = Camera::orthographic(cfg.grid, default_view(), cfg.image.0, cfg.image.1);
-    for &orphan in &lost {
-        let Some(adopter) = adopter_of(orphan, &lost, &survivors, plan.seed, &loads) else {
-            decision[orphan] = Some(HealDecision::Skip);
-            incidents.push(crate::slo::Incident {
-                rank: orphan,
-                stage: 1,
-                kind: crate::slo::IncidentKind::DegradedLadder,
-            });
-            continue;
-        };
-        let est = block_cost(cfg, &model, &geo.owned[orphan]);
-        let d = budget.charge(est, policy.coarse_step_factor);
-        if d != HealDecision::Full {
-            incidents.push(crate::slo::Incident {
-                rank: orphan,
-                stage: 1,
-                kind: crate::slo::IncidentKind::DegradedLadder,
-            });
-        }
-        if d != HealDecision::Skip {
-            counters.adopted_blocks += 1;
-            counters.recovery_bytes += bytes[orphan].len() as u64;
-            loads[adopter] += est;
-        }
-        if d == HealDecision::Coarse {
-            counters.approx_blocks += 1;
-            let fp = pvr_render::raycast::footprint(
-                &camera,
-                geo.owned[orphan].offset,
-                geo.owned[orphan].end(),
-                cfg.image,
-            );
-            error_bound += fp.num_pixels() as f64 / image_px;
-        }
-        decision[orphan] = Some(d);
-    }
-    // Straggler hedging: a straggle past the suspicion window fires a
-    // speculative duplicate render; first-wins dedup discards whichever
-    // copy loses the race, so the hedge is counted and invisible.
-    for r in 0..n {
-        for s in STAGES {
-            if let Some(RankAction::StraggleMs(ms)) = plan.rank_fault(r, s) {
-                if Duration::from_millis(ms) >= policy.suspicion {
-                    counters.hedged_renders += 1;
-                }
-            }
-        }
-    }
-
-    // Render survivors and heals, each at the rung the ledger chose.
-    let decision = &decision;
-    let rendered: Vec<(SubImage, pvr_render::raycast::RenderStats, Option<f64>)> = (0..n)
-        .into_par_iter()
-        .map(|r| {
-            let dom = BlockDomain {
-                grid: cfg.grid,
-                owned: geo.owned[r],
-                stored: geo.stored[r],
-            };
-            match decision[r] {
-                Some(HealDecision::Skip) => {
-                    let fp = pvr_render::raycast::footprint(
-                        &camera,
-                        geo.owned[r].offset,
-                        geo.owned[r].end(),
-                        cfg.image,
-                    );
-                    (SubImage::transparent(fp, 0.0), Default::default(), None)
-                }
-                d => {
-                    let tf = transfer_for(cfg);
-                    let mut ropts = render_opts(cfg);
-                    if d == Some(HealDecision::Coarse) {
-                        ropts.step *= policy.coarse_step_factor;
-                    }
-                    let vol = decode_volume(&bytes[r], &geo.stored[r], endian);
-                    let (sub, st) = render_block(&vol, &dom, &camera, &tf, &ropts);
-                    (sub, st, Some(1.0))
-                }
-            }
-        })
-        .collect();
-    timing.render = sw.lap();
-
-    let mut render = pvr_render::raycast::RenderStats::default();
-    for (_, st, _) in &rendered {
-        render.merge(st);
-    }
-    let present: Vec<Option<f64>> = rendered.iter().map(|(_, _, q)| *q).collect();
-    let subs: Vec<SubImage> = rendered.into_iter().map(|(s, _, _)| s).collect();
-
-    let partition = ImagePartition::new(cfg.image.0, cfg.image.1, cfg.compositors());
-    let (image, stats, completeness) = composite_direct_send_degraded(&subs, partition, &present);
-    timing.composite = sw.lap();
-    timing.recovery = counters;
-    timing.error_bound = error_bound.min(1.0);
-    timing.wall = t0.elapsed().as_secs_f64();
-    // There is no per-rank stage decomposition in the shared address
-    // space: the located incidents carry the attribution (a hedged
-    // straggler never shows in the wall clock, but still violates).
-    timing.slo = Some(crate::slo::annotate(
-        cfg,
-        &crate::slo::FrameSample {
-            stage_secs: [timing.io, timing.render, timing.composite],
-            per_rank: &[],
-            incidents: &incidents,
-        },
-    ));
-    if let Some(slo) = &timing.slo {
-        crate::slo::record_frame_flight(flight, slo, &incidents, &counters);
-    }
-    Ok(FtFrameResult {
-        frame: FrameResult {
-            image,
-            timing,
-            io,
-            render_samples: render.samples,
-            render_skipped: render.skipped_samples,
-            render_packets: render.packets,
-            render_eval_lanes: render.packet_eval_lanes,
-            render_eval_slots: render.packet_eval_slots,
-            render_terminated: render.terminated_rays,
-            render_error_bound: render.error_bound as f64,
-            composite: stats,
-        },
-        completeness,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CompositorPolicy;
-    use crate::pipeline::{run_frame_mpi, tags, write_dataset};
-    use pvr_faults::{LinkAction, LinkFault, Pat, RankAction, RankFault, Stage};
+    use crate::config::{CompositorPolicy, FrameConfig, IoMode};
+    use crate::pipeline::{run_frame, run_frame_mpi, tags, write_dataset};
+    use crate::scheduler::{drive_frame, DriveOutput, Driver, ExecChoice, LinkMode};
+    use pvr_faults::{
+        FaultPlan, LinkAction, LinkFault, Pat, RankAction, RankFault, RecoveryPolicy, Stage,
+    };
+    use pvr_obs::{FlightRecorder, Tracer};
+    use std::path::Path;
+
+    fn ft_frame(
+        exec: ExecChoice<'_>,
+        cfg: &FrameConfig,
+        path: &Path,
+        plan: &FaultPlan,
+        policy: &RecoveryPolicy,
+    ) -> Result<DriveOutput, FtError> {
+        let driver = Driver {
+            exec,
+            links: LinkMode::reliable(plan.clone(), *policy, laptop_store()),
+            flight: FlightRecorder::disabled(),
+        };
+        drive_frame(cfg, Some(path), driver)
+    }
+
+    fn mpi_ft(
+        cfg: &FrameConfig,
+        path: &Path,
+        plan: &FaultPlan,
+        policy: &RecoveryPolicy,
+    ) -> Result<DriveOutput, FtError> {
+        let opts = pvr_mpisim::RunOptions::default();
+        ft_frame(ExecChoice::Mpi { opts }, cfg, path, plan, policy)
+    }
+
+    fn rayon_ft(
+        cfg: &FrameConfig,
+        path: &Path,
+        plan: &FaultPlan,
+        policy: &RecoveryPolicy,
+    ) -> Result<DriveOutput, FtError> {
+        let tracer = Tracer::disabled();
+        ft_frame(
+            ExecChoice::Rayon { tracer: &tracer },
+            cfg,
+            path,
+            plan,
+            policy,
+        )
+    }
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("pvr-ft-{}", std::process::id()));
@@ -453,10 +171,9 @@ mod tests {
         let p = tmp("healthy.raw");
         write_dataset(&p, &cfg).unwrap();
         let plain = run_frame_mpi(&cfg, &p);
-        let ft =
-            run_frame_mpi_ft(&cfg, &p, &FaultPlan::none(), &RecoveryPolicy::fast_test()).unwrap();
+        let ft = mpi_ft(&cfg, &p, &FaultPlan::none(), &RecoveryPolicy::fast_test()).unwrap();
         assert_eq!(plain.image.pixels(), ft.frame.image.pixels());
-        assert!(ft.completeness.fully_complete());
+        assert!(ft.completeness.as_ref().unwrap().fully_complete());
         // Spurious retransmits can happen under scheduler load (an ack
         // arriving just after its timeout) and are harmless — but
         // nothing may be lost, degraded, or crashed on a healthy plan.
@@ -499,13 +216,13 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let ft = run_frame_mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
+        let ft = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
         assert_eq!(
             plain.image.pixels(),
             ft.frame.image.pixels(),
             "transient faults must heal without a pixel trace"
         );
-        assert!(ft.completeness.fully_complete());
+        assert!(ft.completeness.as_ref().unwrap().fully_complete());
         assert!(ft.frame.timing.recovery.retries > 0, "recovery did work");
         assert_eq!(ft.frame.timing.recovery.timeouts, 0);
         std::fs::remove_file(&p).ok();
@@ -530,13 +247,13 @@ mod tests {
         write_dataset(&p, &cfg).unwrap();
         let plain = run_frame_mpi(&cfg, &p);
         let plan = crash_plan(5, Stage::Composite, 9);
-        let ft = run_frame_mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
+        let ft = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
         assert_eq!(
             plain.image.pixels(),
             ft.frame.image.pixels(),
             "a single crashed renderer must heal without a pixel trace"
         );
-        assert!(ft.completeness.fully_complete());
+        assert!(ft.completeness.as_ref().unwrap().fully_complete());
         let rec = ft.frame.timing.recovery;
         assert_eq!(rec.crashed_ranks, 1);
         assert!(rec.adopted_blocks >= 1, "a survivor adopted the block");
@@ -548,7 +265,8 @@ mod tests {
         assert_eq!(rec.degraded_tiles, 0);
         assert_eq!(ft.frame.timing.error_bound, 0.0, "full heal has no error");
         // Strict mode accepts the healed frame.
-        run_frame_mpi_ft_strict(&cfg, &p, &plan, &RecoveryPolicy::fast_test())
+        mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test())
+            .and_then(DriveOutput::strict)
             .expect("healed frame passes strict mode");
         std::fs::remove_file(&p).ok();
     }
@@ -561,13 +279,13 @@ mod tests {
         let plain = run_frame_mpi(&cfg, &p);
         // Rank 6 owns a tile under Fixed(4) on 8 ranks (c*8/4 = 0,2,4,6).
         let plan = crash_plan(6, Stage::Composite, 11);
-        let ft = run_frame_mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
+        let ft = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
         assert_eq!(
             plain.image.pixels(),
             ft.frame.image.pixels(),
             "a dead compositor's tile is rebuilt at the root, bit-identically"
         );
-        assert!(ft.completeness.fully_complete());
+        assert!(ft.completeness.as_ref().unwrap().fully_complete());
         let rec = ft.frame.timing.recovery;
         assert_eq!(rec.crashed_ranks, 1);
         assert!(rec.adopted_tiles >= 1, "rank 0 rebuilt the orphan tile");
@@ -590,13 +308,13 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let ft = run_frame_mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
+        let ft = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
         assert_eq!(
             plain.image.pixels(),
             ft.frame.image.pixels(),
             "hedged duplicate renders are deterministic: the race cannot show"
         );
-        assert!(ft.completeness.fully_complete());
+        assert!(ft.completeness.as_ref().unwrap().fully_complete());
         let rec = ft.frame.timing.recovery;
         assert!(rec.hedged_renders >= 1, "suspicion fired a hedge");
         assert!(
@@ -623,8 +341,8 @@ mod tests {
         // stays complete but reports an explicit error bound.
         let mut policy = RecoveryPolicy::fast_test();
         policy.frame_budget = Some(est * 0.5);
-        let ft = run_frame_mpi_ft(&cfg, &p, &plan, &policy).unwrap();
-        assert!(ft.completeness.fully_complete());
+        let ft = mpi_ft(&cfg, &p, &plan, &policy).unwrap();
+        assert!(ft.completeness.as_ref().unwrap().fully_complete());
         let rec = ft.frame.timing.recovery;
         assert!(rec.approx_blocks >= 1, "coarse rung taken");
         assert!(
@@ -636,8 +354,8 @@ mod tests {
         // in the completeness map and the frame still terminates.
         let mut policy = RecoveryPolicy::fast_test();
         policy.frame_budget = Some(est * 0.1);
-        let ft = run_frame_mpi_ft(&cfg, &p, &plan, &policy).unwrap();
-        assert!(!ft.completeness.fully_complete());
+        let ft = mpi_ft(&cfg, &p, &plan, &policy).unwrap();
+        assert!(!ft.completeness.as_ref().unwrap().fully_complete());
         assert_eq!(ft.frame.timing.recovery.approx_blocks, 0);
         assert_eq!(ft.frame.timing.error_bound, 0.0);
         std::fs::remove_file(&p).ok();
@@ -652,9 +370,9 @@ mod tests {
         let plan = crash_plan(5, Stage::Render, 13);
 
         // Unbounded budget: full heal, bit-identical.
-        let ft = run_frame_rayon_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
+        let ft = rayon_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
         assert_eq!(plain.image.pixels(), ft.frame.image.pixels());
-        assert!(ft.completeness.fully_complete());
+        assert!(ft.completeness.as_ref().unwrap().fully_complete());
         assert_eq!(ft.frame.timing.recovery.crashed_ranks, 1);
         assert_eq!(ft.frame.timing.recovery.adopted_blocks, 1);
 
@@ -664,17 +382,51 @@ mod tests {
         let est = crate::recovery::block_cost(&cfg, &model, &owned[5]);
         let mut policy = RecoveryPolicy::fast_test();
         policy.frame_budget = Some(est * 0.5);
-        let ft = run_frame_rayon_ft(&cfg, &p, &plan, &policy).unwrap();
-        assert!(ft.completeness.fully_complete());
+        let ft = rayon_ft(&cfg, &p, &plan, &policy).unwrap();
+        assert!(ft.completeness.as_ref().unwrap().fully_complete());
         assert_eq!(ft.frame.timing.recovery.approx_blocks, 1);
         assert!(ft.frame.timing.error_bound > 0.0);
 
         // No budget: the block is skipped and completeness says so.
         policy.frame_budget = Some(0.0);
-        let ft = run_frame_rayon_ft(&cfg, &p, &plan, &policy).unwrap();
-        assert!(!ft.completeness.fully_complete());
+        let ft = rayon_ft(&cfg, &p, &plan, &policy).unwrap();
+        assert!(!ft.completeness.as_ref().unwrap().fully_complete());
         assert_eq!(ft.frame.timing.recovery.adopted_blocks, 0);
         std::fs::remove_file(&p).ok();
+
+        // A healthy plan does the plain frame's work, on every read path.
+        for mode in IoMode::ALL {
+            let mut cfg = cfg;
+            cfg.io = mode;
+            let p = tmp(&format!("rayon-ft-healthy.{}", mode.name()));
+            write_dataset(&p, &cfg).unwrap();
+            let plain = run_frame(&cfg, Some(&p));
+            let ft = rayon_ft(&cfg, &p, &FaultPlan::none(), &RecoveryPolicy::fast_test()).unwrap();
+            let name = mode.name();
+            assert_eq!(plain.image.pixels(), ft.frame.image.pixels(), "{name}");
+            assert_eq!(plain.render, ft.frame.render, "{name}");
+            let (a, b) = (plain.io, ft.frame.io);
+            assert_eq!(
+                (
+                    a.useful_bytes,
+                    a.physical_bytes,
+                    a.accesses,
+                    a.exchange_bytes
+                ),
+                (
+                    b.useful_bytes,
+                    b.physical_bytes,
+                    b.accesses,
+                    b.exchange_bytes
+                ),
+                "{name}"
+            );
+            assert_eq!(a.data_density, b.data_density, "{name}");
+            assert_eq!(plain.composite, ft.frame.composite, "{name}");
+            let map = ft.completeness.unwrap();
+            assert!(map.tiles.iter().all(|t| t.fraction() == 1.0), "{name}");
+            std::fs::remove_file(&p).ok();
+        }
     }
 
     #[test]
@@ -692,18 +444,18 @@ mod tests {
             ..FaultPlan::default()
         };
         // With failover: bit-identical, replica bytes accounted.
-        let ft = run_frame_mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
+        let ft = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
         assert_eq!(plain.image.pixels(), ft.frame.image.pixels());
-        assert!(ft.completeness.fully_complete());
+        assert!(ft.completeness.as_ref().unwrap().fully_complete());
         assert!(ft.frame.io.failover_bytes > 0);
         assert!(ft.frame.io.retries > 0);
         assert_eq!(ft.frame.io.unrecovered_bytes, 0);
         // Without failover: data is lost, completeness drops, run ends.
         let mut policy = RecoveryPolicy::fast_test();
         policy.io_failover = false;
-        let ft = run_frame_mpi_ft(&cfg, &p, &plan, &policy).unwrap();
+        let ft = mpi_ft(&cfg, &p, &plan, &policy).unwrap();
         assert!(ft.frame.io.unrecovered_bytes > 0);
-        assert!(!ft.completeness.fully_complete());
+        assert!(!ft.completeness.as_ref().unwrap().fully_complete());
         std::fs::remove_file(&p).ok();
     }
 
@@ -721,9 +473,9 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let ft = run_frame_mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
+        let ft = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
         assert!(ft.frame.image.pixels().iter().all(|px| *px == [0.0; 4]));
-        assert!(ft.completeness.frame_fraction() < 1.0);
+        assert!(ft.completeness.as_ref().unwrap().frame_fraction() < 1.0);
         assert!(ft.frame.timing.recovery.crashed_ranks >= 1);
         std::fs::remove_file(&p).ok();
     }

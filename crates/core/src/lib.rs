@@ -4,11 +4,14 @@
 //! — collective I/O, local ray-casting, direct-send compositing — glued
 //! together, instrumented, and runnable two ways:
 //!
-//! * [`pipeline`] — **real execution** at laptop scale: `n` logical
-//!   ranks (threads) read a real file through the two-phase collective
-//!   engine, render their blocks, and composite. There is also a pure
-//!   message-passing variant on `pvr-mpisim` that exchanges real pixel
-//!   fragments rank-to-rank. Wall-clock timings and images come out.
+//! * [`scheduler::drive_frame`] — **real execution** at laptop scale,
+//!   the one driver every frame runs through: `n` logical ranks
+//!   (threads) read a real file through the two-phase collective
+//!   engine, render their blocks, and composite, either data-parallel
+//!   or as a pure message-passing world on `pvr-mpisim` that exchanges
+//!   real pixel fragments rank-to-rank, healthy or under a fault plan.
+//!   Wall-clock timings and images come out; [`pipeline`] holds the
+//!   one-call entry points ([`run_frame`], [`run_frame_mpi`], …).
 //! * [`perfmodel`] — **simulated execution** at paper scale (64 … 32K
 //!   cores, 1120³ … 4480³ grids): the identical schedules (I/O access
 //!   plans, direct-send message lists) are generated and priced on the
@@ -33,14 +36,10 @@ pub use anim::{
     run_animation, write_animation, AnimExecutor, AnimFaults, AnimFrame, AnimOptions, AnimResult,
 };
 pub use config::{CompositorPolicy, FrameConfig, IoMode};
-pub use ft::{
-    laptop_store, run_frame_mpi_ft, run_frame_mpi_ft_obs, run_frame_mpi_ft_opts,
-    run_frame_mpi_ft_strict, run_frame_rayon_ft, run_frame_rayon_ft_obs, DegradedFrame, FtError,
-    FtFrameResult,
-};
+pub use ft::{laptop_store, DegradedFrame, FtError};
 pub use perfmodel::{simulate_frame, PerfModel, Placement, SimFrameResult};
 pub use pipeline::{
-    run_frame, run_frame_mpi, run_frame_mpi_opts, run_frame_mpi_profiled, run_frame_traced,
+    run_frame, run_frame_mpi, run_frame_mpi_profiled, run_frame_mpi_sim, run_frame_traced,
     shared_dataset, write_dataset, FrameResult, ProfiledFrame,
 };
 pub use recovery::{
@@ -49,8 +48,7 @@ pub use recovery::{
 };
 pub use roles::{bgp_io_nodes, compositor_rank, laptop_aggregators};
 pub use scheduler::{
-    drive_frame, Driver, ExecChoice, FramePlan, FrameTags, LinkMode, PlanError, StageId,
-    EPOCH_STRIDE,
+    drive_frame, DriveOutput, Driver, ExecChoice, FrameTags, LinkMode, StageId, EPOCH_STRIDE,
 };
 pub use slo::{stage_budgets, FrameSample, FrameSlo, SloPolicy, Verdict};
 pub use timing::FrameTiming;

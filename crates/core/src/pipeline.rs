@@ -1,21 +1,27 @@
-//! Real end-to-end execution at laptop scale.
+//! Real end-to-end execution at laptop scale: the frame entry points and
+//! the building blocks the stage executors share.
 //!
-//! Two executors share every algorithmic component:
+//! Every frame runs through [`crate::scheduler::drive_frame`]; the five
+//! functions here are one-call shorthands for the drivers callers need
+//! most:
 //!
-//! * [`run_frame`] — data-parallel (rayon): ranks are logical; the
-//!   two-phase collective read hits a real file, blocks render in
-//!   parallel, direct-send compositing reduces the subimages.
-//! * [`run_frame_mpi`] — message-passing (`pvr-mpisim`): ranks are
-//!   threads exchanging real byte messages for both the I/O scatter
-//!   phase and the compositing fragments. Produces a bit-identical
-//!   image to [`run_frame`] (asserted by integration tests), because
-//!   both blend the same fragments in the same visibility order.
+//! * [`run_frame`] / [`run_frame_traced`] — data-parallel (rayon): ranks
+//!   are logical; the two-phase collective read hits a real file, blocks
+//!   render in parallel, direct-send compositing reduces the subimages.
+//! * [`run_frame_mpi`] / [`run_frame_mpi_sim`] — message-passing
+//!   (`pvr-mpisim`): ranks are threads exchanging real byte messages for
+//!   both the I/O scatter phase and the compositing fragments. Produces
+//!   a bit-identical image to [`run_frame`] (asserted by integration
+//!   tests), because both blend the same fragments in the same
+//!   visibility order.
+//! * [`run_frame_mpi_profiled`] — two message-passing passes, the second
+//!   replaying the first's canonical match order, for byte-reproducible
+//!   profiles.
 //!
-//! Both entry points (and the fault-tolerant ones in [`crate::ft`]) are
-//! thin configurations of the one stage-graph driver in
-//! [`crate::scheduler`]; this module keeps the shared building blocks
-//! (geometry, dataset synthesis, fragment wire format, tags) and the
-//! legacy API surface.
+//! Fault plans, flight recorders and traced runtime options go straight
+//! to [`crate::scheduler::drive_frame`]. This module also keeps the
+//! shared geometry, dataset synthesis, read stage, fragment wire format
+//! and tags.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -34,12 +40,13 @@ use pvr_pfs::twophase::{two_phase_execute_traced, RankRequest};
 use pvr_pfs::IoThrottle;
 use pvr_render::image::{Image, SubImage};
 use pvr_render::math::Vec3;
-use pvr_render::raycast::{RenderOpts, Shading};
+use pvr_render::raycast::{RenderOpts, RenderStats, Shading};
 use pvr_render::TransferFunction;
 use pvr_volume::{BlockDecomposition, SupernovaField, Volume};
 
 use crate::config::{FrameConfig, IoMode};
-use crate::scheduler::{drive_frame, Driver, ExecChoice, FramePlan, LinkMode};
+use crate::ft::FtError;
+use crate::scheduler::{drive_frame, DriveOutput, Driver, ExecChoice, LinkMode};
 use crate::timing::FrameTiming;
 
 /// The default viewing direction for all experiments: a mildly oblique
@@ -89,35 +96,11 @@ pub struct FrameResult {
     pub image: Image,
     pub timing: FrameTiming,
     pub io: IoRunStats,
-    /// Total scalar samples taken during rendering.
-    pub render_samples: u64,
-    /// Samples proven zero-opacity by the macrocell/LUT fast path and
-    /// skipped without evaluation (a subset of `render_samples`; 0 when
-    /// `fast_path` is off).
-    pub render_skipped: u64,
-    /// Ray packets launched across all ranks (0 on the scalar kernel).
-    pub render_packets: u64,
-    /// Lockstep lane-utilization counters summed over ranks: lanes that
-    /// evaluated a sample / lane slots in rounds with at least one
-    /// evaluating lane. See [`pvr_render::raycast::RenderStats`].
-    pub render_eval_lanes: u64,
-    pub render_eval_slots: u64,
-    /// Rays whose accumulation terminated early (saturation gates).
-    pub render_terminated: u64,
-    /// Max over ranks of the conservative per-pixel, per-channel error
-    /// bound introduced by [`pvr_render::raycast::Termination::Bounded`]
-    /// (exactly `0.0` under `Off` and `Bitwise`).
-    pub render_error_bound: f64,
+    /// Render-kernel statistics merged over ranks: samples, fast-path
+    /// skips, packets and lane utilization, early terminations, and the
+    /// largest [`pvr_render::raycast::Termination::Bounded`] error bound.
+    pub render: RenderStats,
     pub composite: DirectSendStats,
-}
-
-impl FrameResult {
-    /// Fraction of lockstep lane slots that evaluated a sample, over
-    /// the whole frame (`None` when the packet kernel never ran).
-    pub fn lane_utilization(&self) -> Option<f64> {
-        (self.render_eval_slots > 0)
-            .then(|| self.render_eval_lanes as f64 / self.render_eval_slots as f64)
-    }
 }
 
 /// Materialize the synthetic supernova dataset at `cfg.grid` resolution
@@ -233,6 +216,10 @@ pub use crate::roles::laptop_aggregators;
 /// I/O stage synthesizes block data procedurally instead of reading a
 /// file (useful for render/composite-only experiments; I/O stats are
 /// then zero).
+///
+/// Kept as the plain entry point of the paper's first executor; it
+/// panics, in the caller's thread, when the dataset cannot be read
+/// (`drive_frame` returns that as [`FtError::Io`]).
 pub fn run_frame(cfg: &FrameConfig, path: Option<&Path>) -> FrameResult {
     run_frame_traced(cfg, path, &Tracer::disabled())
 }
@@ -244,19 +231,18 @@ pub fn run_frame(cfg: &FrameConfig, path: Option<&Path>) -> FrameResult {
 /// track, and per-tile `composite.tile` spans on each compositor's
 /// track. Collect the result with [`Tracer::finish`] and export with
 /// [`pvr_obs::perfetto::to_json`]. A disabled tracer makes this
-/// identical to [`run_frame`].
+/// identical to [`run_frame`]. Kept because tracing is the rayon
+/// executor's own axis and the repository benchmark links against this
+/// signature.
 pub fn run_frame_traced(cfg: &FrameConfig, path: Option<&Path>, tracer: &Tracer) -> FrameResult {
-    drive_frame(
-        cfg,
-        path,
-        Driver {
-            plan: FramePlan::standard(),
-            exec: ExecChoice::Rayon { tracer },
-            flight: pvr_obs::FlightRecorder::disabled(),
-        },
-    )
-    .expect("rayon frames cannot fail")
-    .frame
+    let driver = Driver {
+        exec: ExecChoice::Rayon { tracer },
+        links: LinkMode::Direct,
+        flight: pvr_obs::FlightRecorder::disabled(),
+    };
+    drive_frame(cfg, path, driver)
+        .unwrap_or_else(|e| panic!("rayon frame failed: {e}"))
+        .frame
 }
 
 /// Render options for a config.
@@ -286,12 +272,64 @@ pub(crate) fn synthesize_stage(cfg: &FrameConfig, geo: &RankGeometry) -> Vec<Vol
         .collect()
 }
 
+/// I/O statistics of a two-phase collective read.
+fn collective_stats(res: &pvr_pfs::twophase::ExecResult) -> IoRunStats {
+    IoRunStats {
+        useful_bytes: res.plan.useful_bytes,
+        physical_bytes: res.plan.physical_bytes,
+        accesses: res.plan.accesses.len(),
+        exchange_bytes: res.exchange_bytes,
+        data_density: res.plan.data_density(),
+        ..Default::default()
+    }
+}
+
+/// Per-rank physical extents and the I/O statistics of HDF5-style
+/// independent reads: every rank fetches the whole chunks its block
+/// overlaps (no coordination).
+fn independent_plan(
+    layout: &dyn FileLayout,
+    var: usize,
+    stored: &[Subvolume],
+    requests: &[RankRequest],
+) -> (Vec<Vec<pvr_formats::Extent>>, IoRunStats) {
+    let per_process: Vec<Vec<pvr_formats::Extent>> = stored
+        .iter()
+        .map(|sub| layout.physical_extents(var, sub))
+        .collect();
+    let plan = per_extent_plan(&per_process);
+    let useful: u64 = requests.iter().map(|r| r.useful_bytes()).sum();
+    let stats = IoRunStats {
+        useful_bytes: useful,
+        physical_bytes: plan.physical_bytes,
+        accesses: plan.accesses.len(),
+        exchange_bytes: 0,
+        data_density: useful as f64 / plan.physical_bytes.max(1) as f64,
+        ..Default::default()
+    };
+    (per_process, stats)
+}
+
+/// Decode per-rank on-disk-order byte buffers into volumes.
+pub(crate) fn decode_rank_bytes(
+    cfg: &FrameConfig,
+    geo: &RankGeometry,
+    bytes: &[Vec<u8>],
+) -> Vec<Volume> {
+    let layout = cfg.io.layout(cfg.grid);
+    bytes
+        .par_iter()
+        .zip(&geo.stored)
+        .map(|(b, sub)| decode_volume(b, sub, layout.endian()))
+        .collect()
+}
+
 pub(crate) fn read_stage(
     cfg: &FrameConfig,
     geo: &RankGeometry,
     path: &Path,
     tracer: &Tracer,
-) -> (Vec<Volume>, IoRunStats) {
+) -> std::io::Result<(Vec<Volume>, IoRunStats)> {
     let layout = cfg.io.layout(cfg.grid);
     let var = cfg.file_variable();
     let requests = rank_requests(layout.as_ref(), var, &geo.stored);
@@ -299,53 +337,24 @@ pub(crate) fn read_stage(
     if layout.collective() {
         let hints = cfg.io.hints(cfg.grid);
         let naggr = laptop_aggregators(cfg.nprocs);
-        let mut f = File::open(path).expect("dataset file");
-        let res = two_phase_execute_traced(&mut f, &requests, naggr, &hints, tracer)
-            .expect("collective read");
-        let stats = IoRunStats {
-            useful_bytes: res.plan.useful_bytes,
-            physical_bytes: res.plan.physical_bytes,
-            accesses: res.plan.accesses.len(),
-            exchange_bytes: res.exchange_bytes,
-            data_density: res.plan.data_density(),
-            ..Default::default()
-        };
-        let volumes: Vec<Volume> = res
-            .rank_bytes
-            .par_iter()
-            .zip(&geo.stored)
-            .map(|(bytes, sub)| decode_volume(bytes, sub, layout.endian()))
-            .collect();
-        (volumes, stats)
+        let mut f = File::open(path)?;
+        let res = two_phase_execute_traced(&mut f, &requests, naggr, &hints, tracer)?;
+        Ok((
+            decode_rank_bytes(cfg, geo, &res.rank_bytes),
+            collective_stats(&res),
+        ))
     } else {
-        // HDF5-style independent chunk reads: every rank fetches the
-        // whole chunks its block overlaps (no coordination).
-        let per_process: Vec<Vec<pvr_formats::Extent>> = geo
-            .stored
-            .iter()
-            .map(|sub| layout.physical_extents(var, sub))
-            .collect();
-        let plan = per_extent_plan(&per_process);
-        let useful: u64 = requests.iter().map(|r| r.useful_bytes()).sum();
-        let volumes: Vec<Volume> = geo
+        let (_, stats) = independent_plan(layout.as_ref(), var, &geo.stored, &requests);
+        let volumes = geo
             .stored
             .par_iter()
             .map(|sub| {
-                let mut f = File::open(path).expect("dataset file");
-                let data = pvr_formats::read_subvolume(&mut f, layout.as_ref(), var, sub)
-                    .expect("independent read");
-                Volume::from_data(sub.shape, data)
+                let mut f = File::open(path)?;
+                let data = pvr_formats::read_subvolume(&mut f, layout.as_ref(), var, sub)?;
+                Ok(Volume::from_data(sub.shape, data))
             })
-            .collect();
-        let stats = IoRunStats {
-            useful_bytes: useful,
-            physical_bytes: plan.physical_bytes,
-            accesses: plan.accesses.len(),
-            exchange_bytes: 0,
-            data_density: useful as f64 / plan.physical_bytes.max(1) as f64,
-            ..Default::default()
-        };
-        (volumes, stats)
+            .collect::<std::io::Result<Vec<Volume>>>()?;
+        Ok((volumes, stats))
     }
 }
 
@@ -371,26 +380,13 @@ pub(crate) fn read_frame_bytes(
         let mut f = File::open(path)?;
         let disabled = Tracer::disabled();
         let res = two_phase_execute_traced(&mut f, &requests, naggr, &hints, &disabled)?;
-        let stats = IoRunStats {
-            useful_bytes: res.plan.useful_bytes,
-            physical_bytes: res.plan.physical_bytes,
-            accesses: res.plan.accesses.len(),
-            exchange_bytes: res.exchange_bytes,
-            data_density: res.plan.data_density(),
-            ..Default::default()
-        };
+        let stats = collective_stats(&res);
         if let Some(t) = throttle {
             t.pad(stats.physical_bytes, t0);
         }
         Ok((res.rank_bytes, stats))
     } else {
-        let per_process: Vec<Vec<pvr_formats::Extent>> = geo
-            .stored
-            .iter()
-            .map(|sub| layout.physical_extents(var, sub))
-            .collect();
-        let plan = per_extent_plan(&per_process);
-        let useful: u64 = requests.iter().map(|r| r.useful_bytes()).sum();
+        let (per_process, stats) = independent_plan(layout.as_ref(), var, &geo.stored, &requests);
         let mut f = File::open(path)?;
         let mut bytes = Vec::with_capacity(requests.len());
         for (rq, extents) in requests.iter().zip(&per_process) {
@@ -400,16 +396,8 @@ pub(crate) fn read_frame_bytes(
             })?;
             bytes.push(out);
         }
-        let stats = IoRunStats {
-            useful_bytes: useful,
-            physical_bytes: plan.physical_bytes,
-            accesses: plan.accesses.len(),
-            exchange_bytes: 0,
-            data_density: useful as f64 / plan.physical_bytes.max(1) as f64,
-            ..Default::default()
-        };
         if let Some(t) = throttle {
-            t.pad(useful, t0);
+            t.pad(stats.useful_bytes, t0);
         }
         Ok((bytes, stats))
     }
@@ -556,69 +544,44 @@ pub(crate) fn decode_fragment(data: &[u8]) -> (usize, SubImage) {
     )
 }
 
-/// Run one frame over real message passing (one thread per rank).
-/// Requires a dataset file. Returns rank 0's result; the image is
-/// identical to [`run_frame`]'s.
-pub fn run_frame_mpi(cfg: &FrameConfig, path: &Path) -> FrameResult {
-    run_frame_mpi_opts(cfg, path, pvr_mpisim::RunOptions::default())
-        .unwrap_or_else(|e| panic!("mpi frame failed: {e}"))
-        .0
-}
-
-/// [`run_frame_mpi`] with explicit runtime options — the entry point the
-/// verification tooling uses to trace a frame's messages, perturb its
-/// wildcard-match order, or replay a recorded order. Returns the frame
-/// and, when `opts.trace` is set, the message trace. The composited
-/// image is bit-identical across match policies because compositors
-/// sort fragments by (depth, renderer) before blending.
-pub fn run_frame_mpi_opts(
+/// A plain frame on the message-passing executor.
+fn mpi_frame(
     cfg: &FrameConfig,
     path: &Path,
     opts: pvr_mpisim::RunOptions,
-) -> Result<(FrameResult, Option<pvr_mpisim::trace::TraceLog>), pvr_mpisim::RunError> {
-    match drive_frame(
-        cfg,
-        Some(path),
-        Driver {
-            plan: FramePlan::standard(),
-            exec: ExecChoice::Mpi {
-                opts,
-                links: LinkMode::Direct,
-            },
-            flight: pvr_obs::FlightRecorder::disabled(),
-        },
-    ) {
-        Ok(out) => Ok((out.frame, out.trace)),
-        Err(crate::ft::FtError::Runtime(e)) => Err(e),
-        Err(crate::ft::FtError::Degraded(_)) => unreachable!("plain frames never degrade"),
-    }
+) -> Result<DriveOutput, pvr_mpisim::RunError> {
+    let driver = Driver {
+        exec: ExecChoice::Mpi { opts },
+        links: LinkMode::Direct,
+        flight: pvr_obs::FlightRecorder::disabled(),
+    };
+    drive_frame(cfg, Some(path), driver).map_err(|e| match e {
+        FtError::Runtime(e) => e,
+        e => unreachable!("plain mpi frames fail only at runtime: {e}"),
+    })
 }
 
-/// [`run_frame_mpi_opts`] that also surfaces the discrete-event
-/// scheduler's counters (polls, messages, timer fires, virtual time,
-/// peak resident tasks, wall time) — the scale sweeps and `bench_sim`
-/// read these to report events/sec at 32K ranks.
+/// Run one frame over real message passing (one thread per rank).
+/// Requires a dataset file. Returns rank 0's result; the image is
+/// identical to [`run_frame`]'s. Kept as the plain entry point of the
+/// paper's second executor; a runtime failure panics.
+pub fn run_frame_mpi(cfg: &FrameConfig, path: &Path) -> FrameResult {
+    mpi_frame(cfg, path, pvr_mpisim::RunOptions::default())
+        .unwrap_or_else(|e| panic!("mpi frame failed: {e}"))
+        .frame
+}
+
+/// [`run_frame_mpi`] with explicit runtime options that also surfaces
+/// the discrete-event scheduler's counters (polls, messages, timer
+/// fires, virtual time, peak resident tasks, wall time) — the scale
+/// sweeps and `bench_sim` read these to report events/sec at 32K ranks.
+/// Kept because the repository benchmark links against this signature.
 pub fn run_frame_mpi_sim(
     cfg: &FrameConfig,
     path: &Path,
     opts: pvr_mpisim::RunOptions,
 ) -> Result<(FrameResult, Option<pvr_mpisim::SimStats>), pvr_mpisim::RunError> {
-    match drive_frame(
-        cfg,
-        Some(path),
-        Driver {
-            plan: FramePlan::standard(),
-            exec: ExecChoice::Mpi {
-                opts,
-                links: LinkMode::Direct,
-            },
-            flight: pvr_obs::FlightRecorder::disabled(),
-        },
-    ) {
-        Ok(out) => Ok((out.frame, out.sim)),
-        Err(crate::ft::FtError::Runtime(e)) => Err(e),
-        Err(crate::ft::FtError::Degraded(_)) => unreachable!("plain frames never degrade"),
-    }
+    mpi_frame(cfg, path, opts).map(|out| (out.frame, out.sim))
 }
 
 /// One fully profiled message-passing frame: the rendered frame, the
@@ -635,24 +598,26 @@ pub struct ProfiledFrame {
 /// therefore a deterministic function of the configuration alone —
 /// thread scheduling perturbs pass 1 but the canonical replay log maps
 /// every schedule in the same equivalence class to one representative,
-/// so exporters downstream are byte-for-byte reproducible.
+/// so exporters downstream are byte-for-byte reproducible. An algorithm
+/// of its own (two driven frames), not a shorthand.
 pub fn run_frame_mpi_profiled(
     cfg: &FrameConfig,
     path: &Path,
 ) -> Result<ProfiledFrame, pvr_mpisim::RunError> {
     use std::sync::Arc;
-    let (_, t1) = run_frame_mpi_opts(cfg, path, pvr_mpisim::RunOptions::default().traced())?;
+    let first = mpi_frame(cfg, path, pvr_mpisim::RunOptions::default().traced())?;
     let replay = Arc::new(pvr_mpisim::trace::ReplayLog::canonical(
-        &t1.expect("traced run yields a trace"),
+        &first.trace.expect("traced run yields a trace"),
     ));
-    let (frame, trace) = run_frame_mpi_opts(
+    let out = mpi_frame(
         cfg,
         path,
         pvr_mpisim::RunOptions::default()
             .traced()
             .policy(pvr_mpisim::MatchPolicy::Replay(replay)),
     )?;
-    let trace = trace.expect("traced run yields a trace");
+    let frame = out.frame;
+    let trace = out.trace.expect("traced run yields a trace");
     let profile = pvr_obs::profile_from_trace(&trace);
     Ok(ProfiledFrame {
         frame,
@@ -825,6 +790,70 @@ mod tests {
         std::fs::remove_file(&p).ok();
     }
 
+    /// The error kind a rayon frame over `p` fails with, healthy and
+    /// under a (no-op) fault plan.
+    fn rayon_read_error_kinds(cfg: &FrameConfig, p: &Path) -> Vec<std::io::ErrorKind> {
+        let policy = pvr_faults::RecoveryPolicy::fast_test();
+        let reliable = LinkMode::reliable(
+            pvr_faults::FaultPlan::none(),
+            policy,
+            crate::ft::laptop_store(),
+        );
+        [LinkMode::Direct, reliable]
+            .into_iter()
+            .map(|links| {
+                let tracer = Tracer::disabled();
+                let driver = Driver {
+                    exec: ExecChoice::Rayon { tracer: &tracer },
+                    links,
+                    flight: pvr_obs::FlightRecorder::disabled(),
+                };
+                match drive_frame(cfg, Some(p), driver) {
+                    Err(FtError::Io(e)) => e.kind(),
+                    other => panic!("expected a typed read error, got {other:?}"),
+                }
+            })
+            .collect()
+    }
+
+    /// Both read paths turn a short or missing dataset into
+    /// `FtError::Io` instead of panicking inside a rayon worker: HDF5
+    /// through independent chunk reads, netCDF through the two-phase
+    /// window reads.
+    #[test]
+    fn unreadable_dataset_is_a_typed_rayon_frame_error() {
+        use std::io::ErrorKind::{NotFound, UnexpectedEof};
+        for (mode, name) in [
+            (IoMode::Hdf5, "short.h5"),
+            (IoMode::NetCdfUntuned, "short.nc"),
+        ] {
+            let mut cfg = FrameConfig::small(16, 16, 4);
+            cfg.io = mode;
+            let p = tmp(name);
+            write_dataset(&p, &cfg).unwrap();
+            let whole = Subvolume::whole(cfg.grid);
+            let last = *cfg
+                .io
+                .layout(cfg.grid)
+                .physical_extents(cfg.file_variable(), &whole)
+                .last()
+                .unwrap();
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&p)
+                .unwrap()
+                .set_len(last.offset + last.len / 2)
+                .unwrap();
+            assert_eq!(
+                rayon_read_error_kinds(&cfg, &p),
+                [UnexpectedEof; 2],
+                "{name}"
+            );
+            std::fs::remove_file(&p).unwrap();
+            assert_eq!(rayon_read_error_kinds(&cfg, &p), [NotFound; 2], "{name}");
+        }
+    }
+
     #[test]
     fn timing_stages_are_populated() {
         let cfg = FrameConfig::small(16, 16, 4);
@@ -832,7 +861,7 @@ mod tests {
         assert!(res.timing.io >= 0.0);
         assert!(res.timing.render > 0.0);
         assert!(res.timing.composite > 0.0);
-        assert!(res.render_samples > 0);
+        assert!(res.render.samples > 0);
     }
 
     #[test]

@@ -1,30 +1,32 @@
 //! The frame scheduler: one driver for every way a frame runs.
 //!
-//! The pipeline is a small DAG of stages — read → render → composite →
-//! gather — with explicit data handoffs ([`FramePlan`]). What used to be
-//! six hand-rolled copies of that sequence (`run_frame`,
-//! `run_frame_traced`, `run_frame_mpi`, `run_frame_mpi_opts`,
-//! `run_frame_mpi_profiled`, `run_frame_mpi_ft`) is now one driver,
-//! [`drive_frame`], configured along independent axes:
+//! The paper's frame is one fixed sequence — read → render → composite
+//! → gather ([`StageId::ALL`]) — and [`drive_frame`] is the one place
+//! that runs it. A [`Driver`] picks the configuration along independent
+//! axes:
 //!
 //! * **Executor** ([`ExecChoice`]): data-parallel rayon
 //!   ([`RayonExec`]) or per-rank message passing ([`RankExec`] inside a
 //!   `pvr-mpisim` world).
-//! * **Link mode** ([`LinkMode`]): plain blocking messages, or the
-//!   fault-tolerant protocol (framed acked links, deadline receives,
-//!   per-tile completeness) driven by a `FaultPlan`.
+//! * **Link mode** ([`LinkMode`]), honoured by both executors: a
+//!   healthy frame, or a `FaultPlan` with its recovery policy. On the
+//!   message-passing executor reliable links mean framed acked
+//!   messages, deadline receives and no barriers; on rayon the shared
+//!   address space has no links to drop, so the plan's rank faults are
+//!   what matters. Both heal through the same orchestrator
+//!   ([`crate::recovery`]) and report per-tile completeness.
 //! * **Tracing/profiling**: an [`pvr_obs::Tracer`] for the rayon
-//!   executor, `RunOptions::traced()` + replay for the simulator —
-//!   orthogonal to everything else.
+//!   executor, `RunOptions::traced()` + replay for the simulator, and a
+//!   flight recorder on both — orthogonal to everything else.
 //! * **Tag epoch** ([`FrameTags`]): which time step's message tags the
 //!   frame uses, so the animation driver can keep several frames'
-//!   traffic disjoint in one world. Frame 0 equals the legacy
+//!   traffic disjoint in one world. Frame 0 equals the
 //!   [`crate::pipeline::tags`] constants, which keeps the golden traces
 //!   stable.
 //!
-//! The legacy entry points survive as thin wrappers; the integration
-//! tests (bit-identity across executors, byte-golden profiles, fault
-//! recovery) pin that the collapse changed nothing observable.
+//! The entry points in [`crate::pipeline`] are one-call shorthands for
+//! common drivers; the animation driver ([`crate::anim`]) reuses the
+//! executors and [`execute_with`] directly to overlap frames.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -55,14 +57,16 @@ use pvr_render::raycast::{render_block, BlockDomain};
 use pvr_render::Camera;
 
 use crate::config::FrameConfig;
-use crate::ft::FtError;
+use crate::ft::{DegradedFrame, FtError};
 use crate::perfmodel::PerfModel;
 use crate::pipeline::{
-    decode_fragment, decode_volume, default_view, encode_fragment, geometry, rank_requests,
-    read_frame_bytes, read_stage, render_opts, synthesize_stage, tags, transfer_for, FrameResult,
-    IoRunStats,
+    decode_fragment, decode_rank_bytes, decode_volume, default_view, encode_fragment, geometry,
+    rank_requests, read_frame_bytes, read_stage, render_opts, synthesize_stage, tags, transfer_for,
+    FrameResult, IoRunStats,
 };
-use crate::recovery::{adopter_of, block_cost, render_loads, HealDecision, RecoveryBudget};
+use crate::recovery::{
+    adopter_of, block_cost, effective_policy, render_loads, HealDecision, RecoveryBudget,
+};
 use crate::roles::laptop_aggregators;
 use crate::timing::{FrameTiming, Stopwatch};
 
@@ -91,16 +95,6 @@ impl StageId {
         StageId::Gather,
     ];
 
-    /// Stages whose output this stage consumes.
-    pub fn deps(self) -> &'static [StageId] {
-        match self {
-            StageId::Read => &[],
-            StageId::Render => &[StageId::Read],
-            StageId::Composite => &[StageId::Render],
-            StageId::Gather => &[StageId::Composite],
-        }
-    }
-
     pub fn name(self) -> &'static str {
         match self {
             StageId::Read => "read",
@@ -124,78 +118,6 @@ impl StageId {
     }
 }
 
-/// A validation failure of a [`FramePlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanError {
-    Duplicate(StageId),
-    Missing(StageId),
-    /// `stage` is scheduled before a stage whose output it needs.
-    DependencyOrder {
-        stage: StageId,
-        needs: StageId,
-    },
-}
-
-impl std::fmt::Display for PlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanError::Duplicate(s) => write!(f, "stage {} appears twice", s.name()),
-            PlanError::Missing(s) => write!(f, "stage {} is missing", s.name()),
-            PlanError::DependencyOrder { stage, needs } => write!(
-                f,
-                "stage {} runs before its input stage {}",
-                stage.name(),
-                needs.name()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PlanError {}
-
-/// A topological order over the stage DAG: each stage appears exactly
-/// once, after every stage it consumes data from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FramePlan {
-    order: Vec<StageId>,
-}
-
-impl FramePlan {
-    /// The full pipeline in its canonical order.
-    pub fn standard() -> FramePlan {
-        FramePlan {
-            order: StageId::ALL.to_vec(),
-        }
-    }
-
-    /// Build a plan from an explicit stage order, verifying it is a
-    /// topological order of the DAG covering every stage.
-    pub fn new(order: Vec<StageId>) -> Result<FramePlan, PlanError> {
-        let mut seen: Vec<StageId> = Vec::with_capacity(order.len());
-        for &s in &order {
-            if seen.contains(&s) {
-                return Err(PlanError::Duplicate(s));
-            }
-            for &d in s.deps() {
-                if !seen.contains(&d) {
-                    return Err(PlanError::DependencyOrder { stage: s, needs: d });
-                }
-            }
-            seen.push(s);
-        }
-        for s in StageId::ALL {
-            if !seen.contains(&s) {
-                return Err(PlanError::Missing(s));
-            }
-        }
-        Ok(FramePlan { order })
-    }
-
-    pub fn stages(&self) -> &[StageId] {
-        &self.order
-    }
-}
-
 /// One frame's worth of stage execution on some executor. The scheduler
 /// owns the sequencing; the executor owns the stage bodies and the data
 /// handoffs between them.
@@ -215,23 +137,22 @@ pub trait StageExec: Sized {
     fn finish(self) -> Self::Out;
 }
 
-/// Drive an executor through a plan. Futures from executors that never
-/// suspend (rayon) resolve in one poll — `pvr_mpisim::block_on_ready`
-/// runs them from sync contexts.
-pub async fn execute<E: StageExec>(plan: &FramePlan, exec: E) -> E::Out {
-    execute_with(plan, exec, |_, _| {}).await
+/// Drive an executor through the frame's stages. Futures from executors
+/// that never suspend (rayon) resolve in one poll —
+/// `pvr_mpisim::block_on_ready` runs them from sync contexts.
+pub async fn execute<E: StageExec>(exec: E) -> E::Out {
+    execute_with(exec, |_, _| {}).await
 }
 
 /// [`execute`] with a hook after each completed stage — the animation
 /// driver uses it to launch the next frame's I/O prefetch as soon as
 /// the current frame's read hands off, without owning the stage loop.
 pub async fn execute_with<E: StageExec>(
-    plan: &FramePlan,
     mut exec: E,
     mut after: impl FnMut(&mut E, StageId),
 ) -> E::Out {
     exec.begin();
-    for &s in plan.stages() {
+    for s in StageId::ALL {
         match exec.stage(s).await {
             ControlFlow::Continue(()) => after(&mut exec, s),
             ControlFlow::Break(()) => break,
@@ -350,10 +271,15 @@ pub struct ReliableCfg {
     rec: IoRecovery,
 }
 
-/// How the message-passing executor moves data: plain blocking sends
-/// and receives with barriers between stages (the paper's
-/// bulk-synchronous frame), or the fault-tolerant protocol — framed
-/// acked links, deadline receives, no barriers, per-tile completeness.
+/// How a frame moves data: the healthy paper frame, or the
+/// fault-tolerant one driven by a `FaultPlan`. On the message-passing
+/// executor `Direct` is plain blocking sends and receives with barriers
+/// between stages (the paper's bulk-synchronous frame) and `Reliable`
+/// is the fault-tolerant protocol — framed acked links, deadline
+/// receives, no barriers. The rayon executor has no links to drop: under
+/// `Reliable` it applies the plan's rank faults (crashes heal through
+/// the recovery ladder, stragglers are hedged). Both executors report
+/// per-tile completeness under `Reliable`.
 #[derive(Debug, Clone)]
 pub enum LinkMode {
     Direct,
@@ -397,9 +323,25 @@ pub enum FrameInput<'a> {
 
 /// The data-parallel executor: logical ranks, shared address space,
 /// rayon inside each stage. One instance runs one frame.
+///
+/// Under [`LinkMode::Reliable`] a rank the plan crashes (at any stage)
+/// loses its rendered block before compositing. The recovery
+/// orchestrator heals it: the deterministic seeded load-aware
+/// assignment ([`adopter_of`]) picks a surviving adopter and the
+/// degradation ladder ([`RecoveryBudget`]) charges the re-render's
+/// modeled cost and picks the rung (full heal → bit-identical pixels;
+/// coarse heal → approximate pixels with the error bound recorded in
+/// [`FrameTiming::error_bound`]; skip → the hole shows up in the
+/// completeness map). Stragglers past the suspicion window fire a
+/// hedged duplicate whose loss to first-wins dedup is a no-op —
+/// counted, never blended. Every flight arg on this path derives from
+/// `(seed, plan, config)`, never wall seconds, so a manual-clock
+/// recorder yields byte-identical anomaly dumps.
 pub struct RayonExec<'a> {
     cfg: &'a FrameConfig,
     tracer: &'a Tracer,
+    links: &'a LinkMode,
+    flight: &'a pvr_obs::FlightRecorder,
     input: Option<FrameInput<'a>>,
     throttle: Option<IoThrottle>,
     geo: crate::pipeline::RankGeometry,
@@ -408,11 +350,19 @@ pub struct RayonExec<'a> {
     sw: Stopwatch,
     timing: FrameTiming,
     io: IoRunStats,
+    /// The Read stage's failure, returned by [`StageExec::finish`].
+    error: Option<std::io::Error>,
     volumes: Vec<pvr_volume::Volume>,
     subs: Vec<SubImage>,
+    /// Per rank: `Some(quality)` when its block reaches the blend.
+    present: Vec<Option<f64>>,
     render_stats: pvr_render::raycast::RenderStats,
+    counters: RecoveryCounters,
+    incidents: Vec<crate::slo::Incident>,
+    error_bound: f64,
     image: Option<Image>,
     composite: Option<DirectSendStats>,
+    completeness: Option<CompletenessMap>,
 }
 
 impl<'a> RayonExec<'a> {
@@ -421,10 +371,14 @@ impl<'a> RayonExec<'a> {
         input: FrameInput<'a>,
         tracer: &'a Tracer,
         throttle: Option<IoThrottle>,
+        links: &'a LinkMode,
+        flight: &'a pvr_obs::FlightRecorder,
     ) -> RayonExec<'a> {
         RayonExec {
             cfg,
             tracer,
+            links,
+            flight,
             input: Some(input),
             throttle,
             geo: geometry(cfg),
@@ -433,20 +387,108 @@ impl<'a> RayonExec<'a> {
             sw: Stopwatch::start(),
             timing: FrameTiming::default(),
             io: IoRunStats::default(),
+            error: None,
             volumes: Vec::new(),
             subs: Vec::new(),
+            present: Vec::new(),
             render_stats: pvr_render::raycast::RenderStats::default(),
+            counters: RecoveryCounters::default(),
+            incidents: Vec::new(),
+            error_bound: 0.0,
             image: None,
             composite: None,
+            completeness: None,
         }
+    }
+
+    /// Decide, before rendering, what the fault plan costs: which ranks
+    /// are lost, who adopts each orphan block and at which ladder rung,
+    /// and which stragglers get hedged. Greedy-balanced: each adoption
+    /// bumps the adopter's load before the next assignment. Returns the
+    /// heal decision per rank (`None` for survivors).
+    fn plan_heals(&mut self, rc: &ReliableCfg) -> Vec<Option<HealDecision>> {
+        let cfg = self.cfg;
+        let (plan, policy) = (&rc.plan, &rc.policy);
+        let n = cfg.nprocs;
+        let stages = || StageId::ALL.into_iter().filter_map(StageId::fault_stage);
+        let lost: Vec<usize> = (0..n)
+            .filter(|&r| stages().any(|s| matches!(plan.rank_fault(r, s), Some(RankAction::Crash))))
+            .collect();
+        self.counters.crashed_ranks = lost.len() as u64;
+        // Located SLO incidents: planned crashes and suspicious straggles
+        // up front, ladder activations as the rungs are chosen below.
+        self.incidents = crate::slo::incidents_from_plan(n, plan, policy.suspicion);
+
+        let model = PerfModel::default();
+        let mut loads = render_loads(cfg, &model, &self.geo.owned);
+        let mut budget = RecoveryBudget::for_frame(cfg, policy);
+        let survivors: Vec<usize> = (0..n).filter(|r| !lost.contains(r)).collect();
+        let mut decision = vec![None; n];
+        let image_px = cfg.image.0 as f64 * cfg.image.1 as f64;
+        for &orphan in &lost {
+            let owned = self.geo.owned[orphan];
+            let rung = match adopter_of(orphan, &lost, &survivors, plan.seed, &loads) {
+                None => HealDecision::Skip,
+                Some(adopter) => {
+                    let est = block_cost(cfg, &model, &owned);
+                    let rung = budget.charge(est, policy.coarse_step_factor);
+                    if rung != HealDecision::Skip {
+                        self.counters.adopted_blocks += 1;
+                        self.counters.recovery_bytes +=
+                            self.geo.stored[orphan].num_elements() as u64 * ELEM_SIZE;
+                        loads[adopter] += est;
+                    }
+                    rung
+                }
+            };
+            if rung != HealDecision::Full {
+                self.incidents.push(crate::slo::Incident {
+                    rank: orphan,
+                    stage: 1,
+                    kind: crate::slo::IncidentKind::DegradedLadder,
+                });
+            }
+            if rung == HealDecision::Coarse {
+                self.counters.approx_blocks += 1;
+                let fp = pvr_render::raycast::footprint(
+                    &self.camera,
+                    owned.offset,
+                    owned.end(),
+                    cfg.image,
+                );
+                self.error_bound += fp.num_pixels() as f64 / image_px;
+            }
+            decision[orphan] = Some(rung);
+        }
+        // Straggler hedging: a straggle past the suspicion window fires a
+        // speculative duplicate render; first-wins dedup discards whichever
+        // copy loses the race, so the hedge is counted and invisible.
+        for r in 0..n {
+            for s in stages() {
+                if let Some(RankAction::StraggleMs(ms)) = plan.rank_fault(r, s) {
+                    if Duration::from_millis(ms) >= policy.suspicion {
+                        self.counters.hedged_renders += 1;
+                    }
+                }
+            }
+        }
+        decision
     }
 }
 
 impl StageExec for RayonExec<'_> {
-    type Out = FrameResult;
+    type Out = Result<DriveOutput, FtError>;
 
     fn begin(&mut self) {
         let cfg = self.cfg;
+        self.flight.begin_frame();
+        if let LinkMode::Reliable(rc) = self.links {
+            self.flight.instant(
+                0,
+                "frame.begin",
+                pvr_obs::Args::two("ranks", cfg.nprocs as u64, "seed", rc.plan.seed),
+            );
+        }
         if self.tracer.enabled() {
             for r in 0..cfg.nprocs {
                 self.tracer.name_track(r as u32, &format!("rank {r}"));
@@ -465,21 +507,17 @@ impl StageExec for RayonExec<'_> {
                 self.timing.starts[0] = self.t0.elapsed().as_secs_f64();
                 self.tracer.begin(0, "io");
                 let mut io_secs = None;
-                (self.volumes, self.io) = match self.input.take().expect("input consumed once") {
+                let read = match self.input.take().expect("input consumed once") {
                     FrameInput::Synthetic => {
-                        (synthesize_stage(cfg, &self.geo), IoRunStats::default())
+                        Ok((synthesize_stage(cfg, &self.geo), IoRunStats::default()))
                     }
                     FrameInput::File(p) => match self.throttle {
                         None => read_stage(cfg, &self.geo, p, self.tracer),
-                        Some(t) => {
-                            // Throttled reads bypass the per-window span
-                            // machinery: the bandwidth floor applies to
-                            // the stage as a whole.
-                            let (bytes, io) = read_frame_bytes(cfg, p, Some(t)).expect(
-                                "dataset file holds every physical extent of the frame's layout",
-                            );
-                            (decode_rank_bytes(cfg, &self.geo, &bytes), io)
-                        }
+                        // Throttled reads bypass the per-window span
+                        // machinery: the bandwidth floor applies to the
+                        // stage as a whole.
+                        Some(t) => read_frame_bytes(cfg, p, Some(t))
+                            .map(|(bytes, io)| (decode_rank_bytes(cfg, &self.geo, &bytes), io)),
                     },
                     FrameInput::Prefetched {
                         bytes,
@@ -487,9 +525,17 @@ impl StageExec for RayonExec<'_> {
                         io_secs: s,
                     } => {
                         io_secs = Some(s);
-                        (decode_rank_bytes(cfg, &self.geo, &bytes), io)
+                        Ok((decode_rank_bytes(cfg, &self.geo, &bytes), io))
                     }
                 };
+                match read {
+                    Ok(read) => (self.volumes, self.io) = read,
+                    Err(e) => {
+                        self.tracer.end(0, "io");
+                        self.error = Some(e);
+                        return ControlFlow::Break(());
+                    }
+                }
                 self.tracer.end_args(
                     0,
                     "io",
@@ -503,12 +549,17 @@ impl StageExec for RayonExec<'_> {
             StageId::Render => {
                 self.timing.starts[1] = self.t0.elapsed().as_secs_f64();
                 self.tracer.begin(0, "render");
+                let (decision, coarse_step) = match self.links {
+                    LinkMode::Reliable(rc) => (self.plan_heals(rc), rc.policy.coarse_step_factor),
+                    LinkMode::Direct => (Vec::new(), 1.0),
+                };
                 let tf = transfer_for(cfg);
                 let opts = render_opts(cfg);
                 let geo = &self.geo;
                 let camera = &self.camera;
                 let tracer = self.tracer;
-                let rendered: Vec<(SubImage, pvr_render::raycast::RenderStats)> = self
+                let decision = &decision;
+                let rendered: Vec<(SubImage, pvr_render::raycast::RenderStats, Option<f64>)> = self
                     .volumes
                     .par_iter()
                     .enumerate()
@@ -518,7 +569,22 @@ impl StageExec for RayonExec<'_> {
                             owned: geo.owned[rank],
                             stored: geo.stored[rank],
                         };
-                        pvr_render::raycast::render_block_traced(
+                        let mut opts = opts;
+                        match decision.get(rank).copied().flatten() {
+                            Some(HealDecision::Skip) => {
+                                let fp = pvr_render::raycast::footprint(
+                                    camera,
+                                    dom.owned.offset,
+                                    dom.owned.end(),
+                                    cfg.image,
+                                );
+                                let st = Default::default();
+                                return (SubImage::transparent(fp, 0.0), st, None);
+                            }
+                            Some(HealDecision::Coarse) => opts.step *= coarse_step,
+                            _ => {}
+                        }
+                        let (sub, st) = pvr_render::raycast::render_block_traced(
                             vol,
                             &dom,
                             camera,
@@ -526,11 +592,12 @@ impl StageExec for RayonExec<'_> {
                             &opts,
                             tracer,
                             rank as u32,
-                        )
+                        );
+                        (sub, st, Some(1.0))
                     })
                     .collect();
                 self.timing.render = self.sw.lap();
-                for (_, s) in &rendered {
+                for (_, s, _) in &rendered {
                     self.render_stats.merge(s);
                 }
                 let rs = &self.render_stats;
@@ -546,7 +613,7 @@ impl StageExec for RayonExec<'_> {
                         rs.terminated_rays,
                     ),
                 );
-                self.subs = rendered.into_iter().map(|(s, _)| s).collect();
+                (self.subs, self.present) = rendered.into_iter().map(|(s, _, q)| (s, q)).unzip();
                 self.volumes.clear();
             }
             StageId::Composite => {
@@ -554,11 +621,13 @@ impl StageExec for RayonExec<'_> {
                 self.tracer.begin(0, "composite");
                 let m = cfg.compositors();
                 let partition = ImagePartition::new(cfg.image.0, cfg.image.1, m);
-                let (image, composite) = pvr_compositing::composite_direct_send_traced(
-                    &self.subs,
-                    partition,
-                    self.tracer,
-                );
+                let (image, composite, completeness) =
+                    pvr_compositing::composite_direct_send_traced(
+                        &self.subs,
+                        partition,
+                        &self.present,
+                        self.tracer,
+                    );
                 self.tracer.end_args(
                     0,
                     "composite",
@@ -567,6 +636,9 @@ impl StageExec for RayonExec<'_> {
                 self.timing.composite = self.sw.lap();
                 self.image = Some(image);
                 self.composite = Some(composite);
+                if let LinkMode::Reliable(_) = self.links {
+                    self.completeness = Some(completeness);
+                }
             }
             // Direct-send already pastes tiles into the final image; the
             // shared-address-space gather is that paste.
@@ -575,49 +647,42 @@ impl StageExec for RayonExec<'_> {
         ControlFlow::Continue(())
     }
 
-    fn finish(self) -> FrameResult {
+    fn finish(self) -> Result<DriveOutput, FtError> {
         self.tracer.end(0, "frame");
+        if let Some(e) = self.error {
+            return Err(FtError::Io(e));
+        }
         let mut timing = self.timing;
+        timing.recovery = self.counters;
+        timing.error_bound = self.error_bound.min(1.0);
         timing.wall = self.t0.elapsed().as_secs_f64();
-        // The shared address space has no per-rank stage decomposition
-        // and no fault plan: the frame-level stage times alone gate.
-        timing.slo = Some(crate::slo::annotate(
+        // The shared address space has no per-rank stage decomposition:
+        // the frame-level stage times gate, and the located incidents
+        // carry the attribution (a hedged straggler never shows in the
+        // wall clock, but still violates).
+        let slo = crate::slo::annotate(
             self.cfg,
             &crate::slo::FrameSample {
                 stage_secs: [timing.io, timing.render, timing.composite],
                 per_rank: &[],
-                incidents: &[],
+                incidents: &self.incidents,
             },
-        ));
-        let rs = self.render_stats;
-        FrameResult {
-            image: self.image.expect("composite stage ran"),
-            timing,
-            io: self.io,
-            render_samples: rs.samples,
-            render_skipped: rs.skipped_samples,
-            render_packets: rs.packets,
-            render_eval_lanes: rs.packet_eval_lanes,
-            render_eval_slots: rs.packet_eval_slots,
-            render_terminated: rs.terminated_rays,
-            render_error_bound: rs.error_bound as f64,
-            composite: self.composite.expect("composite stage ran"),
-        }
+        );
+        crate::slo::record_frame_flight(self.flight, &slo, &self.incidents, &timing.recovery);
+        timing.slo = Some(slo);
+        Ok(DriveOutput {
+            frame: FrameResult {
+                image: self.image.expect("composite stage ran"),
+                timing,
+                io: self.io,
+                render: self.render_stats,
+                composite: self.composite.expect("composite stage ran"),
+            },
+            completeness: self.completeness,
+            trace: None,
+            sim: None,
+        })
     }
-}
-
-/// Decode per-rank on-disk-order byte buffers into volumes.
-fn decode_rank_bytes(
-    cfg: &FrameConfig,
-    geo: &crate::pipeline::RankGeometry,
-    bytes: &[Vec<u8>],
-) -> Vec<pvr_volume::Volume> {
-    let layout = cfg.io.layout(cfg.grid);
-    bytes
-        .par_iter()
-        .zip(&geo.stored)
-        .map(|(b, sub)| decode_volume(b, sub, layout.endian()))
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1917,18 +1982,15 @@ impl StageExec for RankExec<'_> {
 pub enum ExecChoice<'a> {
     /// Data-parallel in one address space, optionally span-traced.
     Rayon { tracer: &'a Tracer },
-    /// Message passing: one thread per rank, with the link mode
-    /// selecting plain or fault-tolerant transport.
-    Mpi {
-        opts: pvr_mpisim::RunOptions,
-        links: LinkMode,
-    },
+    /// Message passing: one thread per rank in a `pvr-mpisim` world.
+    Mpi { opts: pvr_mpisim::RunOptions },
 }
 
 /// One frame, fully configured.
 pub struct Driver<'a> {
-    pub plan: FramePlan,
     pub exec: ExecChoice<'a>,
+    /// Healthy frame or fault plan; both executors honour it.
+    pub links: LinkMode,
     /// Always-on flight recorder the frame's verdict, incidents, and
     /// anomaly dumps are mirrored onto. The disabled recorder costs
     /// nothing; callers that want dumps pass an enabled one and drain
@@ -1937,6 +1999,7 @@ pub struct Driver<'a> {
 }
 
 /// Everything [`drive_frame`] produces.
+#[derive(Debug)]
 pub struct DriveOutput {
     pub frame: FrameResult,
     /// Per-tile completeness (reliable links only).
@@ -1948,29 +2011,23 @@ pub struct DriveOutput {
     pub sim: Option<pvr_mpisim::SimStats>,
 }
 
-/// Expected blended area per tile, derivable by any rank (and the
-/// driver) from the configuration alone — fault-independent.
-pub(crate) fn expected_tile_areas(cfg: &FrameConfig, n: usize, m: usize) -> Vec<f64> {
-    let partition = ImagePartition::new(cfg.image.0, cfg.image.1, m);
-    let camera = Camera::orthographic(cfg.grid, default_view(), cfg.image.0, cfg.image.1);
-    let decomp = pvr_volume::BlockDecomposition::new(cfg.grid, n);
-    let blocks = decomp.blocks();
-    let footprints: Vec<pvr_render::image::PixelRect> = (0..n)
-        .map(|r| {
-            pvr_render::raycast::footprint(
-                &camera,
-                blocks[r].sub.offset,
-                blocks[r].sub.end(),
-                cfg.image,
-            )
-        })
-        .collect();
-    let schedule = build_schedule(&footprints, partition);
-    let mut areas = vec![0.0f64; m];
-    for msg in &schedule.messages {
-        areas[msg.compositor] += msg.pixels as f64;
+impl DriveOutput {
+    /// Strict mode: a frame whose completeness is below 1.0 becomes a
+    /// typed [`FtError::Degraded`] carrying the partial image and the
+    /// recovery record, instead of a success.
+    pub fn strict(self) -> Result<DriveOutput, FtError> {
+        match self.completeness {
+            Some(completeness) if !completeness.fully_complete() => {
+                Err(FtError::Degraded(Box::new(DegradedFrame {
+                    image: self.frame.image,
+                    completeness,
+                    counters: self.frame.timing.recovery,
+                    timing: self.frame.timing,
+                })))
+            }
+            _ => Ok(self),
+        }
     }
-    areas
 }
 
 /// Assemble one frame's driver-side result from the per-rank outputs.
@@ -1992,7 +2049,6 @@ pub(crate) fn assemble_frame(
     Vec<crate::slo::Incident>,
 ) {
     let m = cfg.compositors();
-    let n = cfg.nprocs;
     // Per-rank stage times and located incidents, before rank 0's
     // output is consumed: the SLO gate judges the slowest rank of each
     // stage, not just the root's stopwatch.
@@ -2043,12 +2099,17 @@ pub(crate) fn assemble_frame(
         match (root.image, root.completeness) {
             (Some(img), Some(map)) => (img, Some(map)),
             _ => {
-                let partition = ImagePartition::new(cfg.image.0, cfg.image.1, m);
-                let expected = expected_tile_areas(cfg, n, m);
+                // Expected areas are fault-independent: the schedule
+                // alone defines them.
+                let shared = FrameShared::new(cfg);
+                let mut expected = vec![0.0f64; m];
+                for msg in &shared.schedule.messages {
+                    expected[msg.compositor] += msg.pixels as f64;
+                }
                 let tiles = (0..m)
                     .map(|c| TileCompleteness {
                         tile: c,
-                        rect: Some(partition.tile(c)),
+                        rect: Some(shared.partition.tile(c)),
                         expected: expected[c],
                         arrived: 0.0,
                     })
@@ -2079,13 +2140,7 @@ pub(crate) fn assemble_frame(
             image,
             timing,
             io,
-            render_samples: render.samples,
-            render_skipped: render.skipped_samples,
-            render_packets: render.packets,
-            render_eval_lanes: render.packet_eval_lanes,
-            render_eval_slots: render.packet_eval_slots,
-            render_terminated: render.terminated_rays,
-            render_error_bound: render.error_bound as f64,
+            render,
             composite: DirectSendStats {
                 messages: 0,
                 bytes: sent_bytes,
@@ -2099,37 +2154,39 @@ pub(crate) fn assemble_frame(
     )
 }
 
-/// Run one frame: the single implementation behind every legacy entry
-/// point. `path` is required by the message-passing executor; the rayon
+/// Run one frame: the single implementation behind every entry point.
+/// `path` is required by the message-passing executor; the rayon
 /// executor synthesizes block data procedurally when it is `None`.
+///
+/// Under [`LinkMode::Reliable`] the receive deadlines, the suspicion
+/// threshold and the frame budget derive from the calibrated perf model
+/// ([`effective_policy`]; config overrides win, the caller's policy is a
+/// floor). A dataset the rayon executor cannot read is
+/// [`FtError::Io`].
 pub fn drive_frame(
     cfg: &FrameConfig,
     path: Option<&Path>,
     driver: Driver<'_>,
 ) -> Result<DriveOutput, FtError> {
-    let flight = driver.flight;
-    flight.begin_frame();
-    match driver.exec {
+    let Driver {
+        exec,
+        mut links,
+        flight,
+    } = driver;
+    if let LinkMode::Reliable(rc) = &mut links {
+        rc.policy = effective_policy(cfg, &rc.policy);
+    }
+    match exec {
         ExecChoice::Rayon { tracer } => {
             let input = match path {
                 Some(p) => FrameInput::File(p),
                 None => FrameInput::Synthetic,
             };
-            let frame = pvr_mpisim::block_on_ready(execute(
-                &driver.plan,
-                RayonExec::new(cfg, input, tracer, None),
-            ));
-            if let Some(slo) = &frame.timing.slo {
-                crate::slo::record_frame_flight(&flight, slo, &[], &frame.timing.recovery);
-            }
-            Ok(DriveOutput {
-                frame,
-                completeness: None,
-                trace: None,
-                sim: None,
-            })
+            let exec = RayonExec::new(cfg, input, tracer, None, &links, &flight);
+            pvr_mpisim::block_on_ready(execute(exec))
         }
-        ExecChoice::Mpi { opts, links } => {
+        ExecChoice::Mpi { opts } => {
+            flight.begin_frame();
             let path = path
                 .expect("message-passing executor needs a dataset file")
                 .to_path_buf();
@@ -2150,7 +2207,6 @@ pub fn drive_frame(
             } else {
                 opts
             };
-            let plan = driver.plan;
             // Frame invariants computed once, shared by all n ranks:
             // without this each rank re-derives O(n) geometry/schedule
             // state and the world is O(n²) — fatal at 32K ranks.
@@ -2158,7 +2214,6 @@ pub fn drive_frame(
             let cfg_ref = &cfg;
             let path_ref = &path;
             let links_ref = &links;
-            let plan_ref = &plan;
             let shared_ref = &shared;
             let out = pvr_mpisim::World::run_opts(n, opts, move |mut comm| async move {
                 let exec = RankExec::new(
@@ -2172,7 +2227,7 @@ pub fn drive_frame(
                     None,
                     Arc::clone(shared_ref),
                 );
-                execute(plan_ref, exec).await
+                execute(exec).await
             })
             .map_err(FtError::Runtime)?;
             let (mut frame, completeness, incidents) =
@@ -2196,45 +2251,6 @@ pub fn drive_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn standard_plan_is_valid_and_orders_stages() {
-        let p = FramePlan::standard();
-        assert_eq!(
-            p.stages(),
-            &[
-                StageId::Read,
-                StageId::Render,
-                StageId::Composite,
-                StageId::Gather
-            ]
-        );
-        assert_eq!(FramePlan::new(p.stages().to_vec()), Ok(p));
-    }
-
-    #[test]
-    fn plan_validation_rejects_bad_orders() {
-        assert_eq!(
-            FramePlan::new(vec![
-                StageId::Render,
-                StageId::Read,
-                StageId::Composite,
-                StageId::Gather
-            ]),
-            Err(PlanError::DependencyOrder {
-                stage: StageId::Render,
-                needs: StageId::Read
-            })
-        );
-        assert_eq!(
-            FramePlan::new(vec![StageId::Read, StageId::Read]),
-            Err(PlanError::Duplicate(StageId::Read))
-        );
-        assert_eq!(
-            FramePlan::new(vec![StageId::Read, StageId::Render, StageId::Composite]),
-            Err(PlanError::Missing(StageId::Gather))
-        );
-    }
 
     #[test]
     fn frame_zero_tags_equal_the_legacy_constants() {

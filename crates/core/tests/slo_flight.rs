@@ -7,12 +7,36 @@
 use std::path::PathBuf;
 
 use pvr_core::config::CompositorPolicy;
-use pvr_core::ft::{laptop_store, run_frame_mpi_ft_obs, run_frame_rayon_ft_obs};
+use pvr_core::ft::laptop_store;
 use pvr_core::pipeline::write_dataset;
 use pvr_core::slo::Cause;
-use pvr_core::{FrameConfig, Verdict};
+use pvr_core::{drive_frame, DriveOutput, Driver, ExecChoice, FrameConfig, LinkMode, Verdict};
 use pvr_faults::{FaultPlan, RankAction, RankFault, RecoveryPolicy, Stage};
-use pvr_obs::FlightRecorder;
+use pvr_obs::{FlightRecorder, Tracer};
+
+/// One frame under `plan` with reliable links and the fast-test
+/// recovery policy, recording onto `flight`.
+fn ft_frame(
+    exec: ExecChoice<'_>,
+    cfg: &FrameConfig,
+    path: &std::path::Path,
+    plan: &FaultPlan,
+    flight: &FlightRecorder,
+) -> DriveOutput {
+    let links = LinkMode::reliable(plan.clone(), RecoveryPolicy::fast_test(), laptop_store());
+    let driver = Driver {
+        exec,
+        links,
+        flight: flight.clone(),
+    };
+    drive_frame(cfg, Some(path), driver).unwrap()
+}
+
+fn mpi() -> ExecChoice<'static> {
+    ExecChoice::Mpi {
+        opts: pvr_mpisim::RunOptions::default(),
+    }
+}
 
 fn tmp(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("pvr-slo-{}", std::process::id()));
@@ -81,16 +105,7 @@ fn mpi_straggler_violates_slo_at_the_injection_site() {
     let p = tmp("mpi-straggle.raw");
     write_dataset(&p, &cfg).unwrap();
     let flight = FlightRecorder::wall(256);
-    let (ft, _) = run_frame_mpi_ft_obs(
-        &cfg,
-        &p,
-        &straggle_plan(),
-        &RecoveryPolicy::fast_test(),
-        &laptop_store(),
-        pvr_mpisim::RunOptions::default(),
-        &flight,
-    )
-    .unwrap();
+    let ft = ft_frame(mpi(), &cfg, &p, &straggle_plan(), &flight);
     let slo = ft.frame.timing.slo.expect("ft frames carry a verdict");
     assert_eq!(slo.verdict, Verdict::Violated);
     assert_eq!(
@@ -114,16 +129,7 @@ fn mpi_crash_is_attributed_even_though_recovery_healed_it() {
     let p = tmp("mpi-crash.raw");
     write_dataset(&p, &cfg).unwrap();
     let flight = FlightRecorder::wall(256);
-    let (ft, _) = run_frame_mpi_ft_obs(
-        &cfg,
-        &p,
-        &crash_plan(),
-        &RecoveryPolicy::fast_test(),
-        &laptop_store(),
-        pvr_mpisim::RunOptions::default(),
-        &flight,
-    )
-    .unwrap();
+    let ft = ft_frame(mpi(), &cfg, &p, &crash_plan(), &flight);
     let slo = ft.frame.timing.slo.expect("ft frames carry a verdict");
     assert_eq!(slo.verdict, Verdict::Violated);
     assert_eq!((slo.stage, slo.rank), (Some(1), Some(5)));
@@ -143,14 +149,15 @@ fn rayon_ft_matches_the_mpi_attribution_for_the_same_plans() {
 
     // Straggler: hedged, so the wall clock never sees the 1.2 s — the
     // located incident must still violate and attribute.
-    let ft = run_frame_rayon_ft_obs(
+    let ft = ft_frame(
+        ExecChoice::Rayon {
+            tracer: &Tracer::disabled(),
+        },
         &cfg,
         &p,
         &straggle_plan(),
-        &RecoveryPolicy::fast_test(),
         &FlightRecorder::disabled(),
-    )
-    .unwrap();
+    );
     let slo = ft.frame.timing.slo.unwrap();
     assert_eq!(slo.verdict, Verdict::Violated);
     assert_eq!((slo.stage, slo.rank), (Some(2), Some(3)));
@@ -158,15 +165,19 @@ fn rayon_ft_matches_the_mpi_attribution_for_the_same_plans() {
 
     // Crash: healed bit-identically, still attributed to rank 5.
     let flight = FlightRecorder::wall(64);
-    let ft = run_frame_rayon_ft_obs(
+    let ft = ft_frame(
+        ExecChoice::Rayon {
+            tracer: &Tracer::disabled(),
+        },
         &cfg,
         &p,
         &crash_plan(),
-        &RecoveryPolicy::fast_test(),
         &flight,
-    )
-    .unwrap();
-    assert!(ft.completeness.fully_complete(), "crash healed");
+    );
+    assert!(
+        ft.completeness.as_ref().unwrap().fully_complete(),
+        "crash healed"
+    );
     let slo = ft.frame.timing.slo.unwrap();
     assert_eq!(slo.verdict, Verdict::Violated);
     assert_eq!((slo.stage, slo.rank), (Some(1), Some(5)));
@@ -181,14 +192,15 @@ fn healthy_frames_are_not_anomalies() {
     let p = tmp("healthy.raw");
     write_dataset(&p, &cfg).unwrap();
     let flight = FlightRecorder::wall(64);
-    let ft = run_frame_rayon_ft_obs(
+    let ft = ft_frame(
+        ExecChoice::Rayon {
+            tracer: &Tracer::disabled(),
+        },
         &cfg,
         &p,
         &FaultPlan::none(),
-        &RecoveryPolicy::fast_test(),
         &flight,
-    )
-    .unwrap();
+    );
     let slo = ft.frame.timing.slo.unwrap();
     // No incidents on a healthy plan; the cause can only be raw time.
     assert_ne!(slo.cause, Some(Cause::Crash));
@@ -207,14 +219,15 @@ fn manual_clock_flight_dump_is_golden() {
     write_dataset(&p, &cfg).unwrap();
     let run = || {
         let flight = FlightRecorder::manual(64);
-        run_frame_rayon_ft_obs(
+        ft_frame(
+            ExecChoice::Rayon {
+                tracer: &Tracer::disabled(),
+            },
             &cfg,
             &p,
             &straggle_plan(),
-            &RecoveryPolicy::fast_test(),
             &flight,
-        )
-        .unwrap();
+        );
         let dumps = flight.take_dumps();
         assert_eq!(dumps.len(), 1);
         assert_eq!(dumps[0].reason, "slo-violation");

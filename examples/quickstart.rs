@@ -20,7 +20,7 @@ fn main() {
     println!("frame rendered: {}", result.timing);
     println!(
         "ray samples: {} across {} ranks ({} compositors, {} messages)",
-        result.render_samples,
+        result.render.samples,
         cfg.nprocs,
         cfg.policy.compositors(cfg.nprocs),
         result.composite.messages

@@ -135,8 +135,8 @@ proptest! {
         let fast = run_frame(&cfg, None);
         cfg.fast_path = false;
         let naive = run_frame(&cfg, None);
-        prop_assert_eq!(naive.render_samples, fast.render_samples);
-        prop_assert_eq!(naive.render_skipped, 0);
+        prop_assert_eq!(naive.render.samples, fast.render.samples);
+        prop_assert_eq!(naive.render.skipped_samples, 0);
         for (a, b) in naive.image.pixels().iter().zip(fast.image.pixels()) {
             for c in 0..4 {
                 prop_assert_eq!(a[c].to_bits(), b[c].to_bits());
@@ -162,7 +162,7 @@ proptest! {
         cfg.fast_path = false;
         let naive = run_frame_mpi(&cfg, &path);
         std::fs::remove_file(&path).ok();
-        prop_assert_eq!(naive.render_samples, fast.render_samples);
+        prop_assert_eq!(naive.render.samples, fast.render.samples);
         for (a, b) in naive.image.pixels().iter().zip(fast.image.pixels()) {
             for c in 0..4 {
                 prop_assert_eq!(a[c].to_bits(), b[c].to_bits());

@@ -20,8 +20,8 @@
 
 use parallel_volume_rendering::core::pipeline::{run_frame_mpi, tags, write_dataset};
 use parallel_volume_rendering::core::{
-    run_frame_mpi_ft, run_frame_mpi_ft_strict, run_frame_rayon_ft, CompositorPolicy, FrameConfig,
-    FtError,
+    drive_frame, laptop_store, CompositorPolicy, DriveOutput, Driver, ExecChoice, FrameConfig,
+    FtError, LinkMode,
 };
 use parallel_volume_rendering::faults::{
     FaultPlan, LinkAction, LinkFault, Pat, RankAction, RankFault, RecoveryPolicy, ServerAction,
@@ -33,6 +33,32 @@ fn tmp(name: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("pvr-faultrec-{}", std::process::id()));
     std::fs::create_dir_all(&d).unwrap();
     d.join(name)
+}
+
+/// One frame under `plan` with reliable links on executor `exec`.
+fn ft_frame(
+    exec: ExecChoice<'_>,
+    cfg: &FrameConfig,
+    path: &std::path::Path,
+    plan: &FaultPlan,
+    policy: &RecoveryPolicy,
+) -> Result<DriveOutput, FtError> {
+    let driver = Driver {
+        exec,
+        links: LinkMode::reliable(plan.clone(), *policy, laptop_store()),
+        flight: parallel_volume_rendering::obs::FlightRecorder::disabled(),
+    };
+    drive_frame(cfg, Some(path), driver)
+}
+
+fn mpi_ft(
+    cfg: &FrameConfig,
+    path: &std::path::Path,
+    plan: &FaultPlan,
+    policy: &RecoveryPolicy,
+) -> Result<DriveOutput, FtError> {
+    let opts = parallel_volume_rendering::mpisim::RunOptions::default();
+    ft_frame(ExecChoice::Mpi { opts }, cfg, path, plan, policy)
 }
 
 fn test_cfg(nprocs: usize) -> FrameConfig {
@@ -72,9 +98,9 @@ fn transient_faults_heal_bit_identically() {
         }],
         ..FaultPlan::default()
     };
-    let ft = run_frame_mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
+    let ft = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
     assert_eq!(plain.image.pixels(), ft.frame.image.pixels());
-    assert!(ft.completeness.fully_complete());
+    assert!(ft.completeness.as_ref().unwrap().fully_complete());
     assert!(ft.frame.timing.recovery.retries > 0);
     assert_eq!(ft.frame.timing.recovery.timeouts, 0);
     std::fs::remove_file(&p).ok();
@@ -99,25 +125,25 @@ fn permanent_server_loss_degrades_and_is_typed() {
     let mut policy = RecoveryPolicy::fast_test();
     policy.io_failover = false;
 
-    let ft = run_frame_mpi_ft(&cfg, &p, &plan, &policy).unwrap();
-    assert!(!ft.completeness.fully_complete());
-    assert!(ft.completeness.frame_fraction() < 1.0);
+    let ft = mpi_ft(&cfg, &p, &plan, &policy).unwrap();
+    assert!(!ft.completeness.as_ref().unwrap().fully_complete());
+    assert!(ft.completeness.as_ref().unwrap().frame_fraction() < 1.0);
     assert!(ft.frame.io.unrecovered_bytes > 0);
 
-    match run_frame_mpi_ft_strict(&cfg, &p, &plan, &policy) {
+    match mpi_ft(&cfg, &p, &plan, &policy).and_then(DriveOutput::strict) {
         Err(FtError::Degraded(d)) => {
             assert!(d.completeness.frame_fraction() < 1.0);
             assert_eq!(
                 d.completeness.frame_fraction(),
-                ft.completeness.frame_fraction(),
+                ft.completeness.as_ref().unwrap().frame_fraction(),
                 "degradation must replay exactly from (seed, plan)"
             );
         }
         other => panic!("expected FtError::Degraded, got {other:?}"),
     }
     // With failover restored the same plan is fully recoverable.
-    let healed = run_frame_mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
-    assert!(healed.completeness.fully_complete());
+    let healed = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
+    assert!(healed.completeness.as_ref().unwrap().fully_complete());
     assert!(healed.frame.io.failover_bytes > 0);
     std::fs::remove_file(&p).ok();
 }
@@ -158,8 +184,10 @@ proptest! {
             ..FaultPlan::default()
         };
         let policy = RecoveryPolicy::fast_test();
-        let mpi = run_frame_mpi_ft(&cfg, &p, &plan, &policy).unwrap();
-        let ray = run_frame_rayon_ft(&cfg, &p, &plan, &policy).unwrap();
+        let mpi = mpi_ft(&cfg, &p, &plan, &policy).unwrap();
+        let tracer = parallel_volume_rendering::obs::Tracer::disabled();
+        let rayon = ExecChoice::Rayon { tracer: &tracer };
+        let ray = ft_frame(rayon, &cfg, &p, &plan, &policy).unwrap();
         std::fs::remove_file(&p).ok();
         for (name, ft) in [("mpi", &mpi), ("rayon", &ray)] {
             prop_assert_eq!(
@@ -168,7 +196,7 @@ proptest! {
                 "{} executor: rank {} crash at stage {} must heal without a pixel trace",
                 name, rank, stage_pick
             );
-            prop_assert!(ft.completeness.fully_complete(), "{name} completeness");
+            prop_assert!(ft.completeness.as_ref().unwrap().fully_complete(), "{name} completeness");
             prop_assert!(ft.frame.timing.recovery.adopted_blocks >= 1, "{name} adoption");
             prop_assert_eq!(ft.frame.timing.error_bound, 0.0, "full heal has no error");
         }
@@ -200,14 +228,14 @@ proptest! {
             ],
             ..FaultPlan::default()
         };
-        let res = run_frame_mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test());
+        let res = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test());
         std::fs::remove_file(&p).ok();
         match res {
             Ok(ft) => {
-                let f = ft.completeness.frame_fraction();
+                let f = ft.completeness.as_ref().unwrap().frame_fraction();
                 prop_assert!((0.0..=1.0).contains(&f), "completeness {} out of range", f);
                 prop_assert_eq!(ft.frame.timing.recovery.crashed_ranks, 2);
-                if ft.completeness.fully_complete() {
+                if ft.completeness.as_ref().unwrap().fully_complete() {
                     prop_assert_eq!(
                         plain.image.pixels(),
                         ft.frame.image.pixels(),
@@ -229,11 +257,11 @@ proptest! {
         let p = tmp(&format!("prop-{seed}-{nprocs}.raw"));
         write_dataset(&p, &cfg).unwrap();
         let plan = FaultPlan::sample(seed, nprocs, 8);
-        let res = run_frame_mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test());
+        let res = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test());
         std::fs::remove_file(&p).ok();
         match res {
             Ok(ft) => {
-                let f = ft.completeness.frame_fraction();
+                let f = ft.completeness.as_ref().unwrap().frame_fraction();
                 prop_assert!((0.0..=1.0).contains(&f), "completeness {f} out of range");
                 let permanent_link_loss = plan
                     .links
@@ -247,7 +275,7 @@ proptest! {
                     && plan.server_faults(8).down.iter().all(|d| !d)
                 {
                     prop_assert!(
-                        ft.completeness.fully_complete(),
+                        ft.completeness.as_ref().unwrap().fully_complete(),
                         "≤1 crash and no down server must heal, yet completeness {f} (plan {})",
                         plan.to_json()
                     );
@@ -257,6 +285,7 @@ proptest! {
             Err(FtError::Runtime(e)) => {
                 prop_assert!(false, "plan {} deadlocked/stalled: {e}", plan.to_json());
             }
+            Err(FtError::Io(e)) => prop_assert!(false, "the dataset is complete: {e}"),
         }
     }
 }

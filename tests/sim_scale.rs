@@ -53,7 +53,7 @@ fn check_scale_invariants(n: usize, frame: &FrameResult, sim: &SimStats, referen
         "n={n}: image diverged from the 64-rank reference (max abs diff {diff})"
     );
     // Every rank rendered: sample counts scale with the scene, not n.
-    assert!(frame.render_samples > 0, "n={n}: no samples rendered");
+    assert!(frame.render.samples > 0, "n={n}: no samples rendered");
     // Direct-send actually exchanged fragments and the improved
     // compositor count was honored (messages >= renderers' fragments).
     assert!(frame.composite.bytes > 0, "n={n}: no fragment traffic");

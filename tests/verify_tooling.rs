@@ -5,11 +5,22 @@
 
 use std::sync::Arc;
 
-use parallel_volume_rendering::core::pipeline::run_frame_mpi_opts;
-use parallel_volume_rendering::core::{shared_dataset, FrameConfig, IoMode};
+use parallel_volume_rendering::core::{
+    drive_frame, shared_dataset, DriveOutput, Driver, ExecChoice, FrameConfig, IoMode, LinkMode,
+};
 use parallel_volume_rendering::mpisim::trace::ReplayLog;
 use parallel_volume_rendering::mpisim::{MatchPolicy, RunError, RunOptions, World};
 use parallel_volume_rendering::verify;
+
+/// One plain message-passing frame under `opts`.
+fn mpi_frame(cfg: &FrameConfig, path: &std::path::Path, opts: RunOptions) -> DriveOutput {
+    let driver = Driver {
+        exec: ExecChoice::Mpi { opts },
+        links: LinkMode::Direct,
+        flight: parallel_volume_rendering::obs::FlightRecorder::disabled(),
+    };
+    drive_frame(cfg, Some(path), driver).unwrap()
+}
 
 fn frame_cfg() -> FrameConfig {
     let mut cfg = FrameConfig::small(16, 24, 8);
@@ -58,15 +69,14 @@ fn stall_without_detection_is_reported_not_hung() {
 fn frame_is_bit_identical_under_perturbed_match_orders() {
     let cfg = frame_cfg();
     let path = shared_dataset("verify.nc", &cfg).unwrap();
-    let (base, _) = run_frame_mpi_opts(&cfg, &path, RunOptions::default()).unwrap();
+    let base = mpi_frame(&cfg, &path, RunOptions::default()).frame;
     for policy in [
         MatchPolicy::Arrival,
         MatchPolicy::Perturb(1),
         MatchPolicy::Perturb(42),
         MatchPolicy::Perturb(0xDEAD_BEEF),
     ] {
-        let (frame, _) =
-            run_frame_mpi_opts(&cfg, &path, RunOptions::default().policy(policy.clone())).unwrap();
+        let frame = mpi_frame(&cfg, &path, RunOptions::default().policy(policy.clone())).frame;
         assert_eq!(
             frame.image, base.image,
             "composited image must be bit-identical under {policy:?}"
@@ -78,8 +88,9 @@ fn frame_is_bit_identical_under_perturbed_match_orders() {
 fn recorded_frame_replays_bit_identically_with_injected_swaps() {
     let cfg = frame_cfg();
     let path = shared_dataset("verify.nc", &cfg).unwrap();
-    let (base, trace) = run_frame_mpi_opts(&cfg, &path, RunOptions::default().traced()).unwrap();
-    let trace = trace.expect("traced run yields a trace");
+    let out = mpi_frame(&cfg, &path, RunOptions::default().traced());
+    let base = out.frame;
+    let trace = out.trace.expect("traced run yields a trace");
 
     // The frame's fragment fan-in uses wildcard receives; the trace
     // must record them, and the offline ordering audit must be clean.
@@ -93,12 +104,12 @@ fn recorded_frame_replays_bit_identically_with_injected_swaps() {
     // out-of-order wildcard matches: the image must never change
     // (compositors sort fragments before blending).
     let log = ReplayLog::from_trace(&trace);
-    let (replayed, _) = run_frame_mpi_opts(
+    let replayed = mpi_frame(
         &cfg,
         &path,
         RunOptions::default().policy(MatchPolicy::Replay(Arc::new(log.clone()))),
     )
-    .unwrap();
+    .frame;
     assert_eq!(
         replayed.image, base.image,
         "exact replay must reproduce the frame"
@@ -107,12 +118,12 @@ fn recorded_frame_replays_bit_identically_with_injected_swaps() {
     let mut swaps = 0;
     for (rank, i) in verify::swappable_wildcards(&trace).into_iter().take(3) {
         let swapped = log.swapped(rank, i).expect("racing pair must be swappable");
-        let (frame, _) = run_frame_mpi_opts(
+        let frame = mpi_frame(
             &cfg,
             &path,
             RunOptions::default().policy(MatchPolicy::Replay(Arc::new(swapped))),
         )
-        .unwrap();
+        .frame;
         assert_eq!(
             frame.image, base.image,
             "swap at rank {rank} wildcard #{i} changed the image"
